@@ -338,6 +338,24 @@ void BM_DatasetExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetExtraction);
 
+// Target construction with the dataset defaults (balanced types, 2000 per
+// type, one negative per positive): bucketing, shuffles and the negative
+// loop over TIMING_CONTROL's extracted links. Informational; not in the
+// gated filter.
+void BM_BuildLinkSamples(benchmark::State& state) {
+  const Netlist netlist = flatten(gen::timing_control());
+  const CircuitGraph graph = build_circuit_graph(netlist);
+  const ExtractionResult extraction = extract_parasitics(netlist, place(netlist));
+  const LinkSampleOptions options = DatasetOptions{}.link_options;
+  for (auto _ : state) {
+    Rng rng(3);
+    benchmark::DoNotOptimize(build_link_samples(graph, extraction.links, rng, options).size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(extraction.links.size()));
+}
+BENCHMARK(BM_BuildLinkSamples);
+
 // TraceSpan with CIRCUITGPS_TRACE unset: a histogram lookup at construction
 // plus one clock read and histogram observe at destruction. This is the
 // price every instrumented section pays on an untraced run; DESIGN.md §8

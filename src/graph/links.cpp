@@ -1,6 +1,7 @@
 #include "graph/links.hpp"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
 
 namespace cgps {
@@ -12,37 +13,48 @@ std::uint64_t pair_key(std::int32_t a, std::int32_t b) {
          static_cast<std::uint32_t>(b);
 }
 
+// Per-type bucket of a link: types 2/3/4 map to 0/1/2.
+std::size_t bucket_of(CouplingKind kind) { return static_cast<std::size_t>(kind) - 2; }
+
+LinkSample positive_sample(const CircuitGraph& cg, const CouplingLink& link) {
+  LinkSample s;
+  s.type = static_cast<std::int8_t>(link.kind);
+  s.label = 1.0f;
+  s.cap = link.cap;
+  switch (link.kind) {
+    case CouplingKind::kPinToNet:
+      s.node_a = cg.pin_node(link.a);
+      s.node_b = cg.net_node(link.b);
+      break;
+    case CouplingKind::kPinToPin:
+      s.node_a = cg.pin_node(link.a);
+      s.node_b = cg.pin_node(link.b);
+      break;
+    case CouplingKind::kNetToNet:
+      s.node_a = cg.net_node(link.a);
+      s.node_b = cg.net_node(link.b);
+      break;
+  }
+  return s;
+}
+
+// Roles a node plays among a bucket's kept positives.
+constexpr std::uint8_t kKeptSource = 1;
+constexpr std::uint8_t kKeptDest = 2;
+
 }  // namespace
 
 std::vector<LinkSample> build_link_samples(const CircuitGraph& cg,
                                            const std::vector<CouplingLink>& links, Rng& rng,
                                            const LinkSampleOptions& options) {
-  // Positives per type, as graph node pairs.
-  std::vector<std::vector<LinkSample>> positives(3);  // index: type - 2
-  std::vector<std::unordered_set<std::uint64_t>> positive_keys(3);
-  for (const CouplingLink& link : links) {
-    LinkSample s;
-    s.type = static_cast<std::int8_t>(link.kind);
-    s.label = 1.0f;
-    s.cap = link.cap;
-    switch (link.kind) {
-      case CouplingKind::kPinToNet:
-        s.node_a = cg.pin_node(link.a);
-        s.node_b = cg.net_node(link.b);
-        break;
-      case CouplingKind::kPinToPin:
-        s.node_a = cg.pin_node(link.a);
-        s.node_b = cg.pin_node(link.b);
-        break;
-      case CouplingKind::kNetToNet:
-        s.node_a = cg.net_node(link.a);
-        s.node_b = cg.net_node(link.b);
-        break;
-    }
-    const std::size_t bucket = static_cast<std::size_t>(s.type) - 2;
-    positives[bucket].push_back(s);
-    positive_keys[bucket].insert(pair_key(s.node_a, s.node_b));
-    positive_keys[bucket].insert(pair_key(s.node_b, s.node_a));
+  // Positives per type, as indices into `links`.
+  std::array<std::vector<std::int32_t>, 3> positives;  // index: bucket_of(kind)
+  {
+    std::array<std::size_t, 3> counts{};
+    for (const CouplingLink& link : links) ++counts[bucket_of(link.kind)];
+    for (std::size_t bucket = 0; bucket < 3; ++bucket) positives[bucket].reserve(counts[bucket]);
+    for (std::size_t i = 0; i < links.size(); ++i)
+      positives[bucket_of(links[i].kind)].push_back(static_cast<std::int32_t>(i));
   }
 
   // Class balancing (paper: |E_n2n| from each type).
@@ -64,22 +76,47 @@ std::vector<LinkSample> build_link_samples(const CircuitGraph& cg,
   // Proportional total cap (keeps the natural type mix).
   double total_scale = 1.0;
   if (options.max_total_positives >= 0) {
-    std::int64_t total = 0;
-    for (const auto& bucket : positives) total += static_cast<std::int64_t>(bucket.size());
+    const auto total = static_cast<std::int64_t>(links.size());
     if (total > options.max_total_positives && total > 0)
       total_scale = static_cast<double>(options.max_total_positives) /
                     static_cast<double>(total);
   }
 
+  std::vector<std::uint8_t> role(static_cast<std::size_t>(cg.graph.num_nodes()), 0);
   std::vector<LinkSample> out;
   for (std::size_t bucket = 0; bucket < 3; ++bucket) {
-    auto& pos = positives[bucket];
-    rng.shuffle(pos);
-    std::int64_t keep = static_cast<std::int64_t>(pos.size());
+    // Shuffling the indices draws exactly what shuffling the samples would:
+    // Fisher-Yates draws depend only on the length.
+    std::vector<std::int32_t>& order = positives[bucket];
+    rng.shuffle(order);
+    std::int64_t keep = static_cast<std::int64_t>(order.size());
     if (per_type >= 0) keep = std::min<std::int64_t>(keep, per_type);
     keep = static_cast<std::int64_t>(static_cast<double>(keep) * total_scale);
-    pos.resize(static_cast<std::size_t>(keep));
-    if (pos.empty()) continue;
+    if (keep == 0) continue;
+    std::vector<LinkSample> pos(static_cast<std::size_t>(keep));
+    for (std::size_t k = 0; k < pos.size(); ++k)
+      pos[k] = positive_sample(cg, links[static_cast<std::size_t>(order[k])]);
+
+    // A negative candidate (a, b) pairs a kept source with a kept
+    // destination, so only positives joining such nodes (in either
+    // orientation) can reject one; the rest of the bucket is never queried.
+    for (const LinkSample& s : pos) {
+      role[static_cast<std::size_t>(s.node_a)] |= kKeptSource;
+      role[static_cast<std::size_t>(s.node_b)] |= kKeptDest;
+    }
+    std::unordered_set<std::uint64_t> positive_keys;
+    for (const CouplingLink& link : links) {
+      if (bucket_of(link.kind) != bucket) continue;
+      const LinkSample s = positive_sample(cg, link);
+      const std::uint8_t ra = role[static_cast<std::size_t>(s.node_a)];
+      const std::uint8_t rb = role[static_cast<std::size_t>(s.node_b)];
+      if (((ra & kKeptSource) && (rb & kKeptDest)) || ((rb & kKeptSource) && (ra & kKeptDest))) {
+        positive_keys.insert(pair_key(s.node_a, s.node_b));
+        positive_keys.insert(pair_key(s.node_b, s.node_a));
+      }
+    }
+    for (const LinkSample& s : pos)
+      role[static_cast<std::size_t>(s.node_a)] = role[static_cast<std::size_t>(s.node_b)] = 0;
 
     // Structural negatives: permute sources and destinations within the
     // same link type (same endpoint node types by construction).
@@ -97,7 +134,7 @@ std::vector<LinkSample> build_link_samples(const CircuitGraph& cg,
       const std::int32_t b = dst_link.node_b;
       if (a == b) continue;
       const std::uint64_t key = pair_key(a, b);
-      if (positive_keys[bucket].contains(key)) continue;
+      if (positive_keys.contains(key)) continue;
       if (!negative_keys.insert(key).second) continue;
       negative_keys.insert(pair_key(b, a));
       LinkSample neg;

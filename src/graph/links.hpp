@@ -36,6 +36,17 @@ struct LinkSampleOptions {
 // Convert extraction links to graph-node pairs and add permuted negatives.
 // Negatives share the link type and endpoint node types of the positives
 // they permute and are guaranteed not to collide with any positive.
+//
+// Cost is linear in links.size(): links are bucketed by kind as int32
+// indices, each index bucket is shuffled, and only the kept positives are
+// built as LinkSamples. The collision set holds only the positives that join
+// a kept source to a kept destination (the only pairs a negative can hit).
+// The transient is 4 bytes per link plus 1 byte per graph node.
+//
+// The returned samples and the rng's stream position afterwards are a
+// contract, pinned bit for bit by the reference sampler and digest in
+// tests/test_links.cpp. Dataset-cache keys and committed bench baselines
+// rely on it, so an implementation change must not move either.
 std::vector<LinkSample> build_link_samples(const CircuitGraph& cg,
                                            const std::vector<CouplingLink>& links, Rng& rng,
                                            const LinkSampleOptions& options = {});

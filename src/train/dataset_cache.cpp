@@ -14,6 +14,17 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x43474453;  // "CGDS"
 
+// Smallest on-disk size of each counted record, used to reject a count the
+// rest of the file cannot hold before anything is reserved for it.
+constexpr std::uint64_t kNetRecordBytes = 8 + 4;  // name prefix, is_port
+// name prefix, kind, model prefix, width/length/value, multiplier/fingers,
+// pin count.
+constexpr std::uint64_t kDeviceRecordBytes = 8 + 4 + 8 + 3 * 8 + 2 * 4 + 8;
+constexpr std::uint64_t kPinRecordBytes = 4 + 4;                 // role, net
+constexpr std::uint64_t kLinkRecordBytes = 3 * 4 + 8;            // kind, a, b, cap
+constexpr std::uint64_t kLinkSampleRecordBytes = 3 * 4 + 4 + 8;  // a, b, type, label, cap
+constexpr std::uint64_t kNodeSampleRecordBytes = 4 + 8;          // node, cap
+
 void write_netlist(BinaryWriter& w, const Netlist& nl) {
   w.write_string(nl.name());
   w.write_u64(nl.nets().size());
@@ -42,11 +53,13 @@ void write_netlist(BinaryWriter& w, const Netlist& nl) {
 Netlist read_netlist(BinaryReader& r) {
   Netlist nl(r.read_string());
   const std::uint64_t n_nets = r.read_u64();
+  r.check_count(n_nets, kNetRecordBytes);
   for (std::uint64_t i = 0; i < n_nets; ++i) {
     const std::string name = r.read_string();
     nl.add_net(name, r.read_u32() != 0);
   }
   const std::uint64_t n_devices = r.read_u64();
+  r.check_count(n_devices, kDeviceRecordBytes);
   for (std::uint64_t i = 0; i < n_devices; ++i) {
     Device d;
     d.name = r.read_string();
@@ -58,6 +71,7 @@ Netlist read_netlist(BinaryReader& r) {
     d.fingers = static_cast<std::int32_t>(r.read_u32());
     d.value = r.read_f64();
     const std::uint64_t n_pins = r.read_u64();
+    r.check_count(n_pins, kPinRecordBytes);
     d.pins.reserve(n_pins);
     for (std::uint64_t p = 0; p < n_pins; ++p) {
       Pin pin;
@@ -76,7 +90,9 @@ void write_f64_vec(BinaryWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> read_f64_vec(BinaryReader& r) {
-  std::vector<double> v(r.read_u64());
+  const std::uint64_t n = r.read_u64();
+  r.check_count(n, sizeof(double));
+  std::vector<double> v(n);
   for (double& x : v) x = r.read_f64();
   return v;
 }
@@ -125,6 +141,7 @@ CircuitDataset load_dataset(const std::string& path, const DatasetOptions& optio
   ds.netlist = read_netlist(r);
 
   const std::uint64_t n_links = r.read_u64();
+  r.check_count(n_links, kLinkRecordBytes);
   ds.extraction.links.reserve(n_links);
   for (std::uint64_t i = 0; i < n_links; ++i) {
     CouplingLink link;
@@ -138,6 +155,7 @@ CircuitDataset load_dataset(const std::string& path, const DatasetOptions& optio
   ds.extraction.pin_ground_cap = read_f64_vec(r);
 
   const std::uint64_t n_samples = r.read_u64();
+  r.check_count(n_samples, kLinkSampleRecordBytes);
   ds.link_samples.reserve(n_samples);
   for (std::uint64_t i = 0; i < n_samples; ++i) {
     LinkSample s;
@@ -149,6 +167,7 @@ CircuitDataset load_dataset(const std::string& path, const DatasetOptions& optio
     ds.link_samples.push_back(s);
   }
   const std::uint64_t n_nodes = r.read_u64();
+  r.check_count(n_nodes, kNodeSampleRecordBytes);
   ds.node_samples.reserve(n_nodes);
   for (std::uint64_t i = 0; i < n_nodes; ++i) {
     NodeSample s;

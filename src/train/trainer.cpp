@@ -18,6 +18,8 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace cgps {
 
@@ -220,6 +222,13 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
           }
         }
       }
+      // A non-finite loss would poison the weights and the epoch mean
+      // without a trace; stop here, before backward and the optimizer step.
+      const double step_loss = planned ? planned_loss : loss.item();
+      if (!std::isfinite(step_loss))
+        throw std::runtime_error("training loss is " + std::to_string(step_loss) +
+                                 " at epoch " + std::to_string(epoch) + " step " +
+                                 std::to_string(batches));
       {
         ScopedTimer st(t_bwd);
         const TraceSpan span("train.backward");
@@ -236,7 +245,7 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
         optimizer.clip_grad_norm(options.grad_clip);
         optimizer.step();
       }
-      loss_sum += planned ? planned_loss : loss.item();
+      loss_sum += step_loss;
       ++batches;
       samples += static_cast<std::int64_t>(ref.end - ref.begin);
     }

@@ -37,13 +37,26 @@ void BinaryWriter::write_i8_vector(const std::vector<std::int8_t>& v) {
   if (!v.empty()) write_raw(v.data(), v.size());
 }
 
-BinaryReader::BinaryReader(const std::string& path) : in_(path, std::ios::binary) {
+BinaryReader::BinaryReader(const std::string& path)
+    : in_(path, std::ios::binary | std::ios::ate) {
   if (!in_) throw std::runtime_error("BinaryReader: cannot open " + path);
+  const std::streamoff end = in_.tellg();
+  if (end < 0) throw std::runtime_error("BinaryReader: cannot size " + path);
+  size_ = static_cast<std::uint64_t>(end);
+  in_.seekg(0);
 }
 
 void BinaryReader::read_raw(void* data, std::size_t n) {
+  if (n > remaining()) throw std::runtime_error("BinaryReader: truncated read");
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
   if (!in_) throw std::runtime_error("BinaryReader: truncated read");
+  pos_ += n;
+}
+
+void BinaryReader::check_count(std::uint64_t count, std::uint64_t record_bytes) const {
+  if (count > remaining() / record_bytes)
+    throw std::runtime_error("BinaryReader: length prefix " + std::to_string(count) +
+                             " exceeds the " + std::to_string(remaining()) + " bytes left");
 }
 
 std::uint32_t BinaryReader::read_u32() {
@@ -69,6 +82,7 @@ double BinaryReader::read_f64() {
 
 std::string BinaryReader::read_string() {
   const std::uint64_t n = read_u64();
+  check_count(n, 1);
   std::string s(n, '\0');
   if (n > 0) read_raw(s.data(), n);
   return s;
@@ -76,6 +90,7 @@ std::string BinaryReader::read_string() {
 
 std::vector<float> BinaryReader::read_f32_vector() {
   const std::uint64_t n = read_u64();
+  check_count(n, sizeof(float));
   std::vector<float> v(n);
   if (n > 0) read_raw(v.data(), n * sizeof(float));
   return v;
@@ -83,6 +98,7 @@ std::vector<float> BinaryReader::read_f32_vector() {
 
 std::vector<std::int64_t> BinaryReader::read_i64_vector() {
   const std::uint64_t n = read_u64();
+  check_count(n, sizeof(std::int64_t));
   std::vector<std::int64_t> v(n);
   if (n > 0) read_raw(v.data(), n * sizeof(std::int64_t));
   return v;
@@ -90,6 +106,7 @@ std::vector<std::int64_t> BinaryReader::read_i64_vector() {
 
 std::vector<std::int8_t> BinaryReader::read_i8_vector() {
   const std::uint64_t n = read_u64();
+  check_count(n, 1);
   std::vector<std::int8_t> v(n);
   if (n > 0) read_raw(v.data(), n);
   return v;

@@ -42,9 +42,18 @@ class BinaryReader {
   std::vector<std::int64_t> read_i64_vector();
   std::vector<std::int8_t> read_i8_vector();
 
+  // Throws std::runtime_error unless `count` records of at least
+  // `record_bytes` (>= 1) each fit in the bytes left. Every length prefix is
+  // checked this way before anything is allocated for it, so a corrupt or
+  // hostile count fails as a truncated file, never as a huge allocation.
+  void check_count(std::uint64_t count, std::uint64_t record_bytes) const;
+
  private:
   void read_raw(void* data, std::size_t n);
+  std::uint64_t remaining() const { return size_ - pos_; }
   std::ifstream in_;
+  std::uint64_t size_ = 0;
+  std::uint64_t pos_ = 0;
 };
 
 }  // namespace cgps

@@ -1,4 +1,5 @@
 #include "train/dataset_cache.hpp"
+#include "util/serialize.hpp"
 
 #include <filesystem>
 #include <fstream>
@@ -103,6 +104,25 @@ TEST(DatasetCache, BadMagicThrows) {
   {
     std::ofstream out(path, std::ios::binary);
     out << "XXXXYYYY";
+  }
+  EXPECT_THROW(load_dataset(path, options_fixture()), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(DatasetCache, HugeLinkCountIsRejectedNotAllocated) {
+  // A well-formed header and empty netlist followed by a link count of
+  // 1 EiB: load_dataset must report a malformed file instead of reserving.
+  const std::string path = temp_dir() + "/huge_links.cgds";
+  {
+    BinaryWriter w(path);
+    w.write_u32(0x43474453u);  // "CGDS"
+    w.write_string("TIMING_CONTROL");
+    w.write_u32(0);
+    w.write_string("netlist");
+    w.write_u64(0);  // nets
+    w.write_u64(0);  // devices
+    w.write_u64(1ULL << 60);
+    w.write_u64(0);
   }
   EXPECT_THROW(load_dataset(path, options_fixture()), std::runtime_error);
   std::filesystem::remove(path);

@@ -153,5 +153,20 @@ TEST(ModelBundle, RejectsWrongMagic) {
   std::filesystem::remove(path);
 }
 
+TEST(ModelBundle, HugeStringPrefixIsRejectedNotAllocated) {
+  // A v2 header whose config-text length prefix claims 1 EiB: the loader
+  // must report a malformed file, not attempt the allocation.
+  const std::string path = temp_path("cgps_bundle_huge_prefix.bin");
+  {
+    BinaryWriter writer(path);
+    writer.write_u32(0x324D4743u);  // "CGM2"
+    writer.write_u32(2);
+    writer.write_u64(1ULL << 60);
+    writer.write_string("trailing bytes");
+  }
+  EXPECT_THROW(load_model_bundle_full(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
 }  // namespace
 }  // namespace cgps

@@ -59,6 +59,51 @@ TEST(Serialize, TruncatedReadThrows) {
   std::filesystem::remove(path);
 }
 
+TEST(Serialize, HugeLengthPrefixThrowsBeforeAllocating) {
+  const std::string path = temp_path("cgps_serialize_huge.bin");
+  {
+    BinaryWriter w(path);
+    w.write_u64(1ULL << 60);  // 1 EiB
+    w.write_u64(0);
+  }
+  {
+    BinaryReader r(path);
+    EXPECT_THROW(r.read_string(), std::runtime_error);
+  }
+  {
+    BinaryReader r(path);
+    EXPECT_THROW(r.read_f32_vector(), std::runtime_error);
+  }
+  {
+    BinaryReader r(path);
+    EXPECT_THROW(r.read_i64_vector(), std::runtime_error);
+  }
+  {
+    BinaryReader r(path);
+    EXPECT_THROW(r.read_i8_vector(), std::runtime_error);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Serialize, LengthPrefixBoundedByBytesLeft) {
+  // A count is checked against the bytes left: exactly what remains passes,
+  // one byte more is rejected.
+  const std::string path = temp_path("cgps_serialize_bound.bin");
+  {
+    BinaryWriter w(path);
+    w.write_f32_vector({1.0f, 2.0f});
+  }
+  {
+    BinaryReader r(path);
+    EXPECT_NO_THROW(r.check_count(1, 8 + 2 * sizeof(float)));
+    EXPECT_THROW(r.check_count(1, 8 + 2 * sizeof(float) + 1), std::runtime_error);
+    EXPECT_EQ(r.read_f32_vector(), (std::vector<float>{1.0f, 2.0f}));
+    EXPECT_NO_THROW(r.check_count(0, 8));
+    EXPECT_THROW(r.check_count(1, 1), std::runtime_error);
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(Serialize, MissingFileThrows) {
   EXPECT_THROW(BinaryReader("/nonexistent/path/file.bin"), std::runtime_error);
 }

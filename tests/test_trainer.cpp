@@ -1,7 +1,11 @@
 #include "train/trainer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace cgps {
 namespace {
@@ -142,6 +146,36 @@ TEST(Training, HeadOnlyFineTuneTouchesOnlyHead) {
     if (name.rfind("head_", 0) == 0) continue;
     const auto& before = backbone_before[k++];
     for (std::size_t j = 0; j < before.size(); ++j) EXPECT_EQ(before[j], p.data()[j]);
+  }
+}
+
+TEST(Training, NonFiniteLossFailsFastNamingEpochAndStep) {
+  Rng rng(10);
+  TaskData train = TaskData::for_edge_regression(small_dataset(), {}, 40, rng);
+  std::fill(train.targets.begin(), train.targets.end(),
+            std::numeric_limits<float>::quiet_NaN());
+  const TaskData* tasks[] = {&train};
+  const XcNormalizer norm = fit_normalizer(tasks);
+
+  CircuitGps model(tiny_config());
+  std::vector<std::vector<float>> before;
+  for (const auto& [name, p] : model.named_parameters())
+    before.emplace_back(p.data().begin(), p.data().end());
+  TrainOptions options;
+  options.epochs = 2;
+  options.batch_size = 16;
+  try {
+    train_regression(model, norm, tasks, options);
+    FAIL() << "a NaN loss must stop training";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("epoch 0 step 0"), std::string::npos) << what;
+  }
+  // The failing step never reached the optimizer.
+  std::size_t k = 0;
+  for (const auto& [name, p] : model.named_parameters()) {
+    const auto& want = before[k++];
+    for (std::size_t j = 0; j < want.size(); ++j) ASSERT_EQ(want[j], p.data()[j]) << name;
   }
 }
 
