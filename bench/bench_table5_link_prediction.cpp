@@ -3,20 +3,10 @@
 // the three unseen test designs.
 #include "common.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 using namespace cgps;
 using namespace cgps::bench;
 
-int main(int argc, char** argv) {
-  // --quant appends a CircuitGPS int8 evaluation pass (circuitgps_int8.* and
-  // quant-delta metrics) on freshly drawn test samples; the default metric
-  // set and its rng stream are untouched so committed baselines stay valid.
-  bool quant_mode = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--quant") == 0) quant_mode = true;
-
+int main() {
   print_header("Table V: link prediction vs baselines (zero-shot)");
   BenchReport report("table5_link_prediction");
   fill_common_config(report);
@@ -118,31 +108,6 @@ int main(int argc, char** argv) {
   }
   table.add_row(gps_row);
   add_method_metrics("circuitgps", gps_metrics);
-
-  if (quant_mode) {
-    // fp32 and int8 on the *same* fresh test draw, both through the planned
-    // executor, so the reported deltas isolate weight quantization.
-    setenv("CIRCUITGPS_EXEC", "planned", 1);
-    std::vector<std::string> q_row{"CircuitGPS(int8)"};
-    std::vector<BinaryMetrics> q_metrics;
-    for (const CircuitDataset& ds : test_sets) {
-      const TaskData test = TaskData::for_links(ds, sg_options, sizes().test_links, rng);
-      const BinaryMetrics fp32 = evaluate_link_prediction(gps_model, gps_norm, test);
-      setenv("CIRCUITGPS_QUANT", "int8", 1);
-      const BinaryMetrics int8 = evaluate_link_prediction(gps_model, gps_norm, test);
-      unsetenv("CIRCUITGPS_QUANT");
-      q_metrics.push_back(int8);
-      q_row.push_back(fmt(int8.accuracy, 3));
-      q_row.push_back(fmt(int8.f1, 3));
-      q_row.push_back(fmt(int8.auc, 3));
-      const std::string key = "circuitgps_int8." + metric_key(ds.name);
-      report.add_metric(key + ".acc_delta", int8.accuracy - fp32.accuracy,
-                        MetricDirection::kTwoSided);
-      report.add_metric(key + ".auc_delta", int8.auc - fp32.auc, MetricDirection::kTwoSided);
-    }
-    table.add_row(q_row);
-    add_method_metrics("circuitgps_int8", q_metrics);
-  }
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf("Paper shape: CircuitGPS improves accuracy by >=20%% over both\n"

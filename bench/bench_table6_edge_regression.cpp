@@ -4,20 +4,10 @@
 // link-prediction meta-learner.
 #include "common.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 using namespace cgps;
 using namespace cgps::bench;
 
-int main(int argc, char** argv) {
-  // --quant appends an int8 evaluation of the all-parameter fine-tuned model
-  // (circuitgps_int8.* and quant-delta metrics) on fresh test draws; the
-  // default metric set and its rng stream are untouched.
-  bool quant_mode = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--quant") == 0) quant_mode = true;
-
+int main() {
   print_header("Table VI: edge regression vs baselines + fine-tuning");
   BenchReport report("table6_edge_regression");
   fill_common_config(report);
@@ -144,30 +134,6 @@ int main(int argc, char** argv) {
   add_gps_row("CircuitGPS", "circuitgps", scratch);
   add_gps_row("CircuitGPS(head-ft)", "circuitgps_head_ft", head_ft);
   add_gps_row("CircuitGPS(all-ft)", "circuitgps_all_ft", all_ft);
-
-  if (quant_mode) {
-    // fp32 and int8 on the *same* fresh test draw, both through the planned
-    // executor, so the reported deltas isolate weight quantization.
-    setenv("CIRCUITGPS_EXEC", "planned", 1);
-    std::vector<std::string> q_row{"CircuitGPS(all-ft, int8)"};
-    std::vector<RegressionMetrics> q_metrics;
-    for (const CircuitDataset& ds : test_sets) {
-      const TaskData test = TaskData::for_edge_regression(ds, sg_options, sizes().reg_test, rng);
-      const RegressionMetrics fp32 = evaluate_regression(all_ft, gps_norm, test);
-      setenv("CIRCUITGPS_QUANT", "int8", 1);
-      const RegressionMetrics int8 = evaluate_regression(all_ft, gps_norm, test);
-      unsetenv("CIRCUITGPS_QUANT");
-      q_metrics.push_back(int8);
-      q_row.push_back(fmt(int8.mae, 3));
-      q_row.push_back(fmt(int8.rmse, 3));
-      q_row.push_back(fmt(int8.r2, 3));
-      const std::string key = "circuitgps_int8." + metric_key(ds.name);
-      report.add_metric(key + ".mae_delta", int8.mae - fp32.mae, MetricDirection::kTwoSided);
-      report.add_metric(key + ".r2_delta", int8.r2 - fp32.r2, MetricDirection::kTwoSided);
-    }
-    table.add_row(q_row);
-    add_method_metrics("circuitgps_int8", q_metrics);
-  }
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf("Paper shape: every CircuitGPS variant beats the baselines; all-ft\n"

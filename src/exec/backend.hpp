@@ -47,22 +47,6 @@ class KernelBackend {
   // Both outputs are materialized (eta feeds the denominator scatter).
   virtual void gate_chain_fwd(const float* e_hat, const float* lm, float* eta, float* msg,
                               std::int64_t count) const = 0;
-
-  // Int8 fused linear with fp32 accumulation (src/exec/quant.hpp owns the
-  // quantization format). xq is the per-row-quantized activation matrix
-  // (m,k) with row scales sx[m]; wq is the *transposed* weight (n,k) with
-  // per-output-row scales sw[n]. Each output element is one exact int32 dot
-  // product (the caller guarantees k*127*127 < 2^31) combined through
-  // q8_combine — the identical expression in every backend, so scalar and
-  // AVX2 int8 results are bitwise equal.
-  virtual void linear_fwd_q8(const std::int8_t* xq, const float* sx, const std::int8_t* wq,
-                             const float* sw, const float* bias, float* o, std::int64_t m,
-                             std::int64_t k, std::int64_t n) const = 0;
-  // Int8 fused linear + ReLU: same contract, output clamped at zero.
-  virtual void linear_relu_fwd_q8(const std::int8_t* xq, const float* sx,
-                                  const std::int8_t* wq, const float* sw, const float* bias,
-                                  float* o, std::int64_t m, std::int64_t k,
-                                  std::int64_t n) const = 0;
 };
 
 // The bit-exact reference backend (always available).

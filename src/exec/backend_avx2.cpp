@@ -14,7 +14,6 @@
 
 #include <immintrin.h>
 
-#include "exec/quant.hpp"
 #include "tensor/kernels.hpp"
 #include "util/parallel.hpp"
 
@@ -56,41 +55,6 @@ inline void row_fwd(const float* ai, const float* b, float* oi, std::int64_t k, 
     if (aip == 0.0f) continue;
     axpy8(aip, b + p * n, oi, n);
   }
-}
-
-// Exact horizontal sum of eight int32 lanes (integer adds are associative,
-// so any reduction order gives the same bits).
-inline std::int32_t hsum8i(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-  return _mm_cvtsi128_si32(s);
-}
-
-// Exact int32 dot product of two int8 rows: 32 codes per iteration, each
-// 16-byte half sign-extended to int16 and multiply-added pairwise into int32
-// lanes (products are bounded by 127^2, so the epi16 madd cannot wrap).
-// Bitwise identical to the scalar backend's dot_q8 — only the fp32 combine
-// in q8_combine rounds, and it is shared.
-inline std::int32_t dot_q8(const std::int8_t* x, const std::int8_t* w, std::int64_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  std::int64_t p = 0;
-  for (; p + 32 <= k; p += 32) {
-    const __m256i xv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + p));
-    const __m256i wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + p));
-    const __m256i xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-    const __m256i wlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv));
-    const __m256i xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-    const __m256i whi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, wlo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, whi));
-  }
-  std::int32_t sum = hsum8i(acc);
-  for (; p < k; ++p)
-    sum += static_cast<std::int32_t>(x[p]) * static_cast<std::int32_t>(w[p]);
-  return sum;
 }
 
 class Avx2Backend final : public KernelBackend {
@@ -219,34 +183,6 @@ class Avx2Backend final : public KernelBackend {
         const float s = kern::sigmoid1(e_hat[i]);
         eta[i] = s;
         msg[i] = s * lm[i];
-      }
-    });
-  }
-
-  void linear_fwd_q8(const std::int8_t* xq, const float* sx, const std::int8_t* wq,
-                     const float* sw, const float* bias, float* o, std::int64_t m,
-                     std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const std::int8_t* xi = xq + i * k;
-        float* oi = o + i * n;
-        const float sxi = sx[i];
-        for (std::int64_t j = 0; j < n; ++j)
-          oi[j] = q8_combine(sxi, sw[j], dot_q8(xi, wq + j * k, k), bias[j]);
-      }
-    });
-  }
-
-  void linear_relu_fwd_q8(const std::int8_t* xq, const float* sx, const std::int8_t* wq,
-                          const float* sw, const float* bias, float* o, std::int64_t m,
-                          std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const std::int8_t* xi = xq + i * k;
-        float* oi = o + i * n;
-        const float sxi = sx[i];
-        for (std::int64_t j = 0; j < n; ++j)
-          oi[j] = kern::relu1(q8_combine(sxi, sw[j], dot_q8(xi, wq + j * k, k), bias[j]));
       }
     });
   }

@@ -5,7 +5,6 @@
 // bitwise identical to eager. No allocation anywhere in this file
 // (cgps_lint: exec-kernel-alloc).
 #include "exec/backend.hpp"
-#include "exec/quant.hpp"
 #include "tensor/kernels.hpp"
 #include "util/parallel.hpp"
 
@@ -65,45 +64,7 @@ class ScalarBackend final : public KernelBackend {
     });
   }
 
-  void linear_fwd_q8(const std::int8_t* xq, const float* sx, const std::int8_t* wq,
-                     const float* sw, const float* bias, float* o, std::int64_t m,
-                     std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const std::int8_t* xi = xq + i * k;
-        float* oi = o + i * n;
-        const float sxi = sx[i];
-        for (std::int64_t j = 0; j < n; ++j)
-          oi[j] = q8_combine(sxi, sw[j], dot_q8(xi, wq + j * k, k), bias[j]);
-      }
-    });
-  }
-
-  void linear_relu_fwd_q8(const std::int8_t* xq, const float* sx, const std::int8_t* wq,
-                          const float* sw, const float* bias, float* o, std::int64_t m,
-                          std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const std::int8_t* xi = xq + i * k;
-        float* oi = o + i * n;
-        const float sxi = sx[i];
-        for (std::int64_t j = 0; j < n; ++j)
-          oi[j] = kern::relu1(q8_combine(sxi, sw[j], dot_q8(xi, wq + j * k, k), bias[j]));
-      }
-    });
-  }
-
  private:
-  // One exact int32 dot product of two int8 rows (quant.hpp bounds k so the
-  // accumulator cannot overflow). Integer addition is associative, so any
-  // vectorized reimplementation of this sum is bitwise equivalent.
-  static std::int32_t dot_q8(const std::int8_t* x, const std::int8_t* w, std::int64_t k) {
-    std::int32_t acc = 0;
-    for (std::int64_t p = 0; p < k; ++p)
-      acc += static_cast<std::int32_t>(x[p]) * static_cast<std::int32_t>(w[p]);
-    return acc;
-  }
-
   // One output row of X W, the exact kern::matmul_fwd inner loop (zero, then
   // ikj axpy with zero-skip on the A element).
   static void accumulate_row(const float* xi, const float* w, float* oi, std::int64_t k,

@@ -14,7 +14,6 @@
 #include "exec/arena.hpp"
 #include "exec/backend.hpp"
 #include "exec/plan.hpp"
-#include "exec/quant.hpp"
 #include "gps/batch.hpp"
 #include "tensor/kernels.hpp"
 #include "util/rng.hpp"
@@ -45,15 +44,6 @@ class Executor {
   const float* value(int id) const { return val_[static_cast<std::size_t>(id)]; }
   std::int64_t node_rows(int id) const { return rows_[static_cast<std::size_t>(id)]; }
   std::int64_t arena_bytes() const { return arena_.bound_bytes(); }
-
-  // Route kLinear/kLinearRelu/kGather forwards through int8 weights from
-  // `store` (keyed by NodeDef::param_name; parameters without an entry stay
-  // fp32). Inference programs only — the caller (PlanRunner) refuses to pair
-  // quantization with a backward schedule. `store` must outlive the executor;
-  // nullptr restores the all-fp32 path. Activation rows are quantized here in
-  // shared (backend-independent) code, so scalar and AVX2 int8 results are
-  // bitwise identical.
-  void set_quant(const QuantStore* store);
 
  private:
   // Byte layout (in floats, relative to the node's aux block) of one mega
@@ -126,13 +116,6 @@ class Executor {
   std::vector<ArenaRequest> requests_;   // reused across binds
   std::vector<float> fused_scratch_;    // kLinearRelu backward dyb (grow-only)
 
-  // Int8 inference path (set_quant). quant_of_[id] is the store entry of a
-  // kParam node, or nullptr; qx_/qsx_ are the per-bind activation
-  // quantization scratch (grow-only, like fused_scratch_).
-  const QuantStore* quant_ = nullptr;
-  std::vector<const QuantizedTensor*> quant_of_;
-  std::vector<std::int8_t> qx_;
-  std::vector<float> qsx_;
 };
 
 }  // namespace cgps::exec

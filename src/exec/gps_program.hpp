@@ -9,11 +9,6 @@
 
 namespace cgps::exec {
 
-// Whether the planned executor covers this configuration. Currently every
-// config is supported (GINE included); the hook stays so callers keep their
-// eager fallback if coverage ever regresses.
-bool program_supported(const GpsConfig& config);
-
 // Record the forward program of `model`, ending in `loss` (LossKind::kNone
 // records an inference program whose last node is Program::output). The
 // NodeDefs share the model's parameter tensors, so executing the compiled

@@ -13,7 +13,6 @@
 #include "tensor/tensor.hpp"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cgps::exec {
@@ -123,7 +122,6 @@ struct NodeDef {
   float eps = 1e-5f;
 
   Tensor param;  // kParam: the model tensor (shared autograd node)
-  std::string param_name;  // kParam: registration name; keys the quant store
   std::vector<float>* running_mean = nullptr;  // kBatchNorm buffers
   std::vector<float>* running_var = nullptr;
 

@@ -9,10 +9,8 @@
 
 #include "exec/executor.hpp"
 #include "gps/model.hpp"
-#include "util/env.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,8 +19,6 @@ namespace cgps::exec {
 
 class PlanRunner {
  public:
-  // Captures CIRCUITGPS_QUANT at construction: one runner is either fp32 or
-  // int8 for its whole life (mixing would invalidate the cached executors).
   explicit PlanRunner(CircuitGps& model);
 
   // One training forward: picks the loss exactly as the eager trainer does
@@ -40,23 +36,6 @@ class PlanRunner {
   // column (`*rows` graphs); the pointer is valid until the next call.
   const float* predict(const SubgraphBatch& batch, std::int64_t* rows);
 
-  // Whether this runner serves int8-quantized inference (CIRCUITGPS_QUANT
-  // at construction). When true, forward_loss/backward throw.
-  bool quantized() const { return quant_mode_ == QuantMode::kInt8; }
-
-  // Adopt pre-quantized weights (model-bundle v3) instead of quantizing on
-  // first use. No-op unless quantized(); must be called before the first
-  // predict.
-  void set_prequantized(QuantStore store);
-
-  // The live quant store (lazily built on first quantized predict), or
-  // nullptr when quantization is off / nothing has run yet. Serving reads
-  // total_bytes() off it for the stats snapshot, possibly from another
-  // thread — hence the acquire pairing with the builder's release store.
-  const QuantStore* quant_store() const {
-    return quant_ready_.load(std::memory_order_acquire) ? &quant_ : nullptr;
-  }
-
  private:
   Executor& executor_for(bool training, LossKind loss);
   void check_freeze_mask();
@@ -70,12 +49,6 @@ class PlanRunner {
   std::vector<float> target_;      // per-batch labels/targets (kept alive through bind)
   std::vector<float> weight_;      // kWeightedMse per-row weights
   Executor* last_ = nullptr;       // executor of the most recent forward_loss
-
-  QuantMode quant_mode_ = QuantMode::kOff;
-  QuantStore quant_;  // owned; executors hold pointers into it
-  // Set (release) only after quant_ is fully populated; stats readers on
-  // other threads gate on it (acquire) before touching quant_.
-  std::atomic<bool> quant_ready_{false};
 };
 
 }  // namespace cgps::exec

@@ -118,6 +118,10 @@ void load_checkpoint(Module& module, BinaryReader& reader) {
     Tensor t = it->second;
     if (t.rows() != rows || t.cols() != cols)
       throw std::runtime_error("load_checkpoint: shape mismatch for " + name);
+    // The element count comes from the file independently of rows/cols: an
+    // overlong record would overrun the tensor, a short one leave stale data.
+    if (static_cast<std::int64_t>(data.size()) != rows * cols)
+      throw std::runtime_error("load_checkpoint: element count mismatch for " + name);
     std::copy(data.begin(), data.end(), t.data().begin());
   }
 

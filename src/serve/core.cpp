@@ -1,6 +1,5 @@
 #include "serve/core.hpp"
 
-#include "exec/gps_program.hpp"
 #include "serve/access_log.hpp"
 #include "serve/protocol.hpp"
 #include "tensor/kernels.hpp"
@@ -102,7 +101,7 @@ ServeCore::ServeCore(CircuitGps& model, XcNormalizer normalizer,
   options_.queue_cap = std::max(1, options_.queue_cap);
   if (options_.default_deadline_us <= 0) options_.default_deadline_us = 100000;
   model_.set_training(false);
-  planned_ = env_exec_mode() == ExecMode::kPlanned && exec::program_supported(model.config());
+  planned_ = env_exec_mode() == ExecMode::kPlanned;
   if (planned_) runner_ = std::make_unique<exec::PlanRunner>(model_);
   start_us_ = trace::now_us();
   // Touch the instruments once so reports include them even before traffic.
@@ -115,10 +114,6 @@ ServeCore::ServeCore(CircuitGps& model, XcNormalizer normalizer,
 }
 
 ServeCore::~ServeCore() { stop(); }
-
-void ServeCore::set_prequantized(exec::QuantStore store) {
-  if (quantized()) runner_->set_prequantized(std::move(store));
-}
 
 void ServeCore::start() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -336,7 +331,8 @@ void ServeCore::process_group(std::vector<Pending*>& group) {
   }
 
   // One fused forward for the whole group. Mirrors train/trainer.cpp
-  // run_inference: planned executor when enabled+supported, eager otherwise.
+  // run_inference: planned executor when CIRCUITGPS_EXEC=planned, eager
+  // otherwise.
   const std::int64_t forward_start = trace::now_us();
   const TraceSpan forward_span("serve.forward");
   InferenceGuard guard;
@@ -355,7 +351,13 @@ void ServeCore::process_group(std::vector<Pending*>& group) {
 
   for (std::size_t i = 0; i < k; ++i) {
     Pending& p = *group[i];
-    if (p.request.task == TaskKind::kLink) {
+    if (!std::isfinite(raw[i])) {
+      // A NaN/Inf forward (corrupt weights, overflow) has no meaningful
+      // probability or capacitance: sigmoid and clamp would pass it through
+      // as a kOk NaN. Report it instead.
+      metric_counter("serve.nonfinite").add(1);
+      reply(p, Status::kError, 0.0f, 0.0);
+    } else if (p.request.task == TaskKind::kLink) {
       reply(p, Status::kOk, kern::sigmoid1(raw[i]), 0.0);
     } else {
       const float norm_cap = std::clamp(raw[i], 0.0f, 1.0f);
@@ -445,12 +447,7 @@ std::string ServeCore::stats_json() const {
   w.field("build", identity_.build);
   w.field("checkpoint", identity_.checkpoint);
   w.field("executor", planned_ ? "planned" : "eager");
-  w.field("quant", quantized() ? "int8" : "off");
   w.field("model_fp32_bytes", model_fp32_bytes(model_));
-  // Quantized weight bytes resident alongside fp32 (0 until the first
-  // quantized forward builds the store, or a v3 bundle pre-loads it).
-  const exec::QuantStore* store = runner_ != nullptr ? runner_->quant_store() : nullptr;
-  w.field("model_quant_bytes", store != nullptr ? store->total_bytes() : std::int64_t{0});
   w.field("max_batch", options_.max_batch);
   w.field("queue_cap", options_.queue_cap);
   w.field("default_deadline_ms", static_cast<double>(options_.default_deadline_us) * 1e-3);

@@ -99,16 +99,8 @@ class ServeCore {
   const XcNormalizer& normalizer() const { return normalizer_; }
   const ServeOptions& options() const { return options_; }
   // True when forwards go through the compiled-plan executor
-  // (CIRCUITGPS_EXEC=planned and the model config is supported).
+  // (CIRCUITGPS_EXEC=planned at construction).
   bool planned() const { return planned_; }
-  // True when the planned executor serves int8-quantized weights
-  // (CIRCUITGPS_QUANT=int8 at construction).
-  bool quantized() const { return planned_ && runner_ != nullptr && runner_->quantized(); }
-
-  // Adopt the pre-quantized weights of a v3 model bundle so quantized serving
-  // uses the exact codes the bundle was saved with instead of re-quantizing.
-  // Call before start(); a no-op unless quantized().
-  void set_prequantized(exec::QuantStore store);
 
   // Stamp the snapshot identity (checkpoint path, build tag). Call before
   // start(); the strings are read unguarded by stats_json().

@@ -27,21 +27,13 @@ bool get(const std::vector<std::uint8_t>& in, std::size_t& at, T& v) {
   return true;
 }
 
-// Shared version check: any version this build can decode. Old (v1) peers
-// stay accepted; unknown future versions are rejected rather than
-// misinterpreted.
-bool version_ok(std::uint8_t version) {
-  return version >= kMinProtocolVersion && version <= kProtocolVersion;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_request(const Request& request) {
   std::vector<std::uint8_t> out;
   out.reserve(31);
   put(out, kRequestMagic);
-  // Layout unchanged since v1; the v1 stamp keeps old servers answering.
-  put(out, kMinProtocolVersion);
+  put(out, kProtocolVersion);
   put(out, request.id);
   put(out, request.design);
   put(out, static_cast<std::uint8_t>(request.task));
@@ -55,8 +47,7 @@ std::vector<std::uint8_t> encode_response(const Response& response) {
   std::vector<std::uint8_t> out;
   out.reserve(34);
   put(out, kResponseMagic);
-  // Layout unchanged since v1; the v1 stamp keeps old clients reading.
-  put(out, kMinProtocolVersion);
+  put(out, kProtocolVersion);
   put(out, response.id);
   put(out, static_cast<std::uint8_t>(response.status));
   put(out, response.value);
@@ -72,7 +63,7 @@ std::optional<Request> decode_request(const std::vector<std::uint8_t>& payload) 
   Request r;
   std::uint8_t task = 0;
   if (!get(payload, at, magic) || magic != kRequestMagic) return std::nullopt;
-  if (!get(payload, at, version) || !version_ok(version)) return std::nullopt;
+  if (!get(payload, at, version) || version != kProtocolVersion) return std::nullopt;
   if (!get(payload, at, r.id) || !get(payload, at, r.design) || !get(payload, at, task) ||
       !get(payload, at, r.node_a) || !get(payload, at, r.node_b) ||
       !get(payload, at, r.deadline_us))
@@ -89,7 +80,7 @@ std::optional<Response> decode_response(const std::vector<std::uint8_t>& payload
   Response r;
   std::uint8_t status = 0;
   if (!get(payload, at, magic) || magic != kResponseMagic) return std::nullopt;
-  if (!get(payload, at, version) || !version_ok(version)) return std::nullopt;
+  if (!get(payload, at, version) || version != kProtocolVersion) return std::nullopt;
   if (!get(payload, at, r.id) || !get(payload, at, status) || !get(payload, at, r.value) ||
       !get(payload, at, r.cap_farads) || !get(payload, at, r.server_us))
     return std::nullopt;
@@ -116,7 +107,7 @@ std::optional<StatsResponse> decode_stats_response(const std::vector<std::uint8_
   std::uint8_t version = 0;
   StatsResponse r;
   if (!get(payload, at, magic) || magic != kStatsMagic) return std::nullopt;
-  if (!get(payload, at, version) || !version_ok(version)) return std::nullopt;
+  if (!get(payload, at, version) || version != kProtocolVersion) return std::nullopt;
   if (!get(payload, at, r.id)) return std::nullopt;
   // Everything after the prologue is the JSON document (the frame's length
   // prefix bounds it; an empty document is not a valid snapshot).

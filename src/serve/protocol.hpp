@@ -11,7 +11,9 @@
 //                                f64:cap_farads i64:server_us
 //   stats payload  (13+n bytes): "CGST" u8:ver u64:id + n bytes of UTF-8
 //                                JSON (cgps-serve-stats-v1), answering a
-//                                kStats request (protocol v2)
+//                                kStats request
+//
+// Every payload carries ver = kProtocolVersion (2).
 #pragma once
 
 #include "serve/serve.hpp"
@@ -27,15 +29,10 @@ namespace cgps::serve {
 inline constexpr std::uint32_t kRequestMagic = 0x51524743;   // "CGRQ"
 inline constexpr std::uint32_t kResponseMagic = 0x53524743;  // "CGRS"
 inline constexpr std::uint32_t kStatsMagic = 0x54534743;     // "CGST"
-// v2 added the kStats task and its JSON stats frame. Decoders accept any
-// version in [kMinProtocolVersion, kProtocolVersion]; encoders stamp each
-// payload with the version its *layout* last changed in — requests and
-// responses are byte-identical to v1 and keep the v1 stamp, so mixed-version
-// fleets interoperate in both directions (a v1 peer reads a v2 server's
-// responses and vice versa), while the v2-only stats frame carries v2 and is
-// only ever sent to a client that asked for it.
+// The one live wire version. Every encoder stamps it and every decoder
+// accepts exactly it: an older or newer peer is rejected rather than
+// misinterpreted (there is no deployed fleet to stay compatible with).
 inline constexpr std::uint8_t kProtocolVersion = 2;
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 // Upper bound a reader accepts for the length prefix; anything larger is a
 // corrupt or hostile stream (our payloads are tens of bytes).
 inline constexpr std::uint32_t kMaxFrameBytes = 4096;
@@ -52,7 +49,7 @@ std::vector<std::uint8_t> encode_response(const Response& response);
 std::optional<Request> decode_request(const std::vector<std::uint8_t>& payload);
 std::optional<Response> decode_response(const std::vector<std::uint8_t>& payload);
 
-// Stats response (kStats, protocol v2): id echoes the request, json is the
+// Stats response (kStats): id echoes the request, json is the
 // cgps-serve-stats-v1 snapshot document.
 struct StatsResponse {
   std::uint64_t id = 0;

@@ -79,6 +79,15 @@ T numeric(const std::string& v, const std::string& line) {
   }
 }
 
+// Architecture sizes (widths, depths, head counts) must be at least 1: a zero
+// reaches `dim % heads` and friends in the model constructors.
+template <typename T>
+T positive(const std::string& v, const std::string& line) {
+  const T n = numeric<T>(v, line);
+  if (n < 1) bad_line("value must be >= 1, got '" + v + "'", line);
+  return n;
+}
+
 }  // namespace
 
 ExperimentConfig parse_experiment_config(const std::string& text) {
@@ -97,18 +106,18 @@ ExperimentConfig parse_experiment_config(const std::string& text) {
     const std::string key = to_lower(tokens[0]);
     const std::string value = to_lower(tokens[1]);
 
-    if (key == "gps.hidden") config.gps.hidden = numeric<std::int64_t>(value, raw);
-    else if (key == "gps.layers") config.gps.layers = numeric<int>(value, raw);
+    if (key == "gps.hidden") config.gps.hidden = positive<std::int64_t>(value, raw);
+    else if (key == "gps.layers") config.gps.layers = positive<int>(value, raw);
     else if (key == "gps.mpnn") config.gps.mpnn = parse_mpnn(value, raw);
     else if (key == "gps.attn") config.gps.attn = parse_attn(value, raw);
-    else if (key == "gps.heads") config.gps.heads = numeric<int>(value, raw);
+    else if (key == "gps.heads") config.gps.heads = positive<int>(value, raw);
     else if (key == "gps.performer_features")
-      config.gps.performer_features = numeric<int>(value, raw);
+      config.gps.performer_features = positive<int>(value, raw);
     else if (key == "gps.dropout") config.gps.dropout = numeric<float>(value, raw);
     else if (key == "gps.pe") config.gps.pe = parse_pe(value, raw);
     else if (key == "gps.rwse_steps") config.gps.rwse_steps = numeric<int>(value, raw);
     else if (key == "gps.lappe_k") config.gps.lappe_k = numeric<int>(value, raw);
-    else if (key == "gps.head_hidden") config.gps.head_hidden = numeric<std::int64_t>(value, raw);
+    else if (key == "gps.head_hidden") config.gps.head_hidden = positive<std::int64_t>(value, raw);
     else if (key == "gps.anchor_readout")
       config.gps.anchor_readout = value == "1" || value == "true" || value == "on";
     else if (key == "gps.seed") config.gps.seed = numeric<std::uint64_t>(value, raw);

@@ -29,7 +29,8 @@ struct ExperimentConfig {
   SubgraphOptions subgraph;
 };
 
-// Parse from text; unknown keys or unparseable values throw
+// Parse from text; unknown keys, unparseable values and architecture sizes
+// (gps.hidden/layers/heads/performer_features/head_hidden) below 1 throw
 // std::runtime_error with the offending line.
 ExperimentConfig parse_experiment_config(const std::string& text);
 

@@ -4,24 +4,22 @@
 #include "util/serialize.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace cgps {
 
 namespace {
-constexpr std::uint32_t kBundleMagicV1 = 0x43474D42;  // "CGMB"
-constexpr std::uint32_t kBundleMagicV2 = 0x324D4743;  // "CGM2"
-constexpr std::uint32_t kBundleMagicV3 = 0x334D4743;  // "CGM3"
-constexpr std::uint32_t kBundleVersionV2 = 2;
-constexpr std::uint32_t kBundleVersionV3 = 3;
+constexpr std::uint32_t kBundleMagic = 0x324D4743;  // "CGM2"
+constexpr std::uint32_t kBundleVersion = 2;
+// Retired formats, recognised only to name them in the rejection.
+constexpr std::uint32_t kRetiredMagicV1 = 0x43474D42;  // "CGMB"
+constexpr std::uint32_t kRetiredMagicV3 = 0x334D4743;  // "CGM3"
 }  // namespace
 
 void save_model_bundle(const CircuitGps& model, const std::string& path,
-                       const XcNormalizer* normalizer, const exec::QuantStore* quant) {
-  const bool has_quant = quant != nullptr && !quant->entries.empty();
+                       const XcNormalizer* normalizer) {
   BinaryWriter writer(path);
-  writer.write_u32(has_quant ? kBundleMagicV3 : kBundleMagicV2);
-  writer.write_u32(has_quant ? kBundleVersionV3 : kBundleVersionV2);
+  writer.write_u32(kBundleMagic);
+  writer.write_u32(kBundleVersion);
   ExperimentConfig wrapper;
   wrapper.gps = model.config();
   writer.write_string(to_config_text(wrapper));
@@ -31,63 +29,32 @@ void save_model_bundle(const CircuitGps& model, const std::string& path,
     for (float v : normalizer->min()) writer.write_f32(v);
     for (float v : normalizer->max()) writer.write_f32(v);
   }
-  if (has_quant) {
-    writer.write_u64(quant->entries.size());
-    for (const auto& [name, qt] : quant->entries) {
-      writer.write_string(name);
-      writer.write_u32(static_cast<std::uint32_t>(qt.layout));
-      writer.write_u64(static_cast<std::uint64_t>(qt.rows));
-      writer.write_u64(static_cast<std::uint64_t>(qt.cols));
-      writer.write_f32_vector(qt.scales);
-      writer.write_i8_vector(qt.q);
-    }
-  }
-  // fp32 weights always follow, quantized or not: a v3 bundle still trains
-  // and serves at full precision when CIRCUITGPS_QUANT is off.
   nn::save_checkpoint(model, writer);
 }
 
 ModelBundle load_model_bundle_full(const std::string& path) {
   BinaryReader reader(path);
   const std::uint32_t magic = reader.read_u32();
-  ModelBundle bundle;
-  std::string config_text;
-  if (magic == kBundleMagicV1) {
-    // Legacy bundle: no version field, no normalizer record.
-    config_text = reader.read_string();
-  } else if (magic == kBundleMagicV2 || magic == kBundleMagicV3) {
-    const std::uint32_t version = reader.read_u32();
-    const std::uint32_t expected =
-        magic == kBundleMagicV3 ? kBundleVersionV3 : kBundleVersionV2;
-    if (version != expected)
-      throw std::runtime_error("load_model_bundle: unsupported bundle version " +
-                               std::to_string(version) + " in " + path);
-    config_text = reader.read_string();
-    if (reader.read_u32() != 0) {
-      std::array<float, kXcDim> min{};
-      std::array<float, kXcDim> max{};
-      for (float& v : min) v = reader.read_f32();
-      for (float& v : max) v = reader.read_f32();
-      bundle.normalizer.restore(min, max);
-    }
-    if (magic == kBundleMagicV3) {
-      const std::uint64_t count = reader.read_u64();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::string name = reader.read_string();
-        exec::QuantizedTensor qt;
-        const std::uint32_t layout = reader.read_u32();
-        if (layout > static_cast<std::uint32_t>(exec::QuantLayout::kRows))
-          throw std::runtime_error("load_model_bundle: bad quant layout in " + path);
-        qt.layout = static_cast<exec::QuantLayout>(layout);
-        qt.rows = static_cast<std::int64_t>(reader.read_u64());
-        qt.cols = static_cast<std::int64_t>(reader.read_u64());
-        qt.scales = reader.read_f32_vector();
-        qt.q = reader.read_i8_vector();
-        bundle.quant.entries.emplace(name, std::move(qt));
-      }
-    }
-  } else {
+  if (magic == kRetiredMagicV1)
+    throw std::runtime_error("load_model_bundle: retired v1 bundle format \"CGMB\" in " + path +
+                             " (only \"CGM2\" is supported)");
+  if (magic == kRetiredMagicV3)
+    throw std::runtime_error("load_model_bundle: retired v3 bundle format \"CGM3\" in " + path +
+                             " (only \"CGM2\" is supported)");
+  if (magic != kBundleMagic)
     throw std::runtime_error("load_model_bundle: bad magic in " + path);
+  const std::uint32_t version = reader.read_u32();
+  if (version != kBundleVersion)
+    throw std::runtime_error("load_model_bundle: unsupported bundle version " +
+                             std::to_string(version) + " in " + path);
+  const std::string config_text = reader.read_string();
+  ModelBundle bundle;
+  if (reader.read_u32() != 0) {
+    std::array<float, kXcDim> min{};
+    std::array<float, kXcDim> max{};
+    for (float& v : min) v = reader.read_f32();
+    for (float& v : max) v = reader.read_f32();
+    bundle.normalizer.restore(min, max);
   }
   const ExperimentConfig config = parse_experiment_config(config_text);
   bundle.model = std::make_unique<CircuitGps>(config.gps);

@@ -3,20 +3,13 @@
 // reloaded (e.g. for later fine-tuning on a new design, or by cgps_serve)
 // without out-of-band knowledge of its hyperparameters.
 //
-// Three on-disk formats coexist:
-//   v1 ("CGMB"): config text + weights. Loads with an unfitted normalizer.
-//   v2 ("CGM2"): adds a format version and the fitted XcNormalizer bounds,
-//                so inference normalizes X_C exactly as training did instead
-//                of refitting on whatever graphs happen to be served.
-//   v3 ("CGM3"): adds an optional int8 quantization section (per-entry name,
-//                layout, shape, fp32 scales, int8 codes) ahead of the fp32
-//                weights, so CIRCUITGPS_QUANT=int8 serving loads the exact
-//                codes the bundle was validated with instead of re-quantizing.
-// save_model_bundle writes v2, or v3 when given a non-empty QuantStore;
-// load_model_bundle reads all three.
+// One on-disk format, "CGM2": magic, format version 2, the config text, the
+// fitted XcNormalizer bounds (so inference normalizes X_C exactly as training
+// did instead of refitting on whatever graphs happen to be served), then the
+// fp32 weights. The retired "CGMB" (v1) and "CGM3" (v3, int8 section) files
+// are rejected with an error naming the format.
 #pragma once
 
-#include "exec/quant.hpp"
 #include "gps/batch.hpp"
 #include "gps/model.hpp"
 
@@ -25,26 +18,21 @@
 
 namespace cgps {
 
-// A loaded bundle. `normalizer.fitted()` is false for v1 files and for v2
-// files saved without one — callers must then fit their own (and should warn:
-// predictions will not match the training-time feature scaling).
-// `quant.entries` is empty unless the file is v3 with a quantization section;
-// quantized serving of older bundles falls back to quantize-on-load.
+// A loaded bundle. `normalizer.fitted()` is false for files saved without
+// one — callers must then fit their own (and should warn: predictions will
+// not match the training-time feature scaling).
 struct ModelBundle {
   std::unique_ptr<CircuitGps> model;
   XcNormalizer normalizer;
-  exec::QuantStore quant;
 };
 
 // `normalizer` may be null or unfitted; the bundle records its absence.
-// `quant` with at least one entry upgrades the file to v3 and embeds the
-// pre-quantized weights; null or empty keeps the v2 format byte-identical.
 void save_model_bundle(const CircuitGps& model, const std::string& path,
-                       const XcNormalizer* normalizer = nullptr,
-                       const exec::QuantStore* quant = nullptr);
+                       const XcNormalizer* normalizer = nullptr);
 
 // Reconstructs the model from the embedded config and loads the weights.
-// Throws std::runtime_error on magic/format mismatch.
+// Throws std::runtime_error on magic/format mismatch, a retired format, or a
+// corrupt record.
 std::unique_ptr<CircuitGps> load_model_bundle(const std::string& path);
 
 // As load_model_bundle, but also surfaces the stored normalizer bounds.

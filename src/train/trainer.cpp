@@ -1,6 +1,5 @@
 #include "train/trainer.hpp"
 
-#include "exec/gps_program.hpp"
 #include "exec/runner.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -127,13 +126,6 @@ struct ModelSnapshot {
 std::vector<float> run_inference(CircuitGps& model, const XcNormalizer& normalizer,
                                  const TaskData& test, int batch_size, bool link_task);
 
-// Whether this process should run the model through the compiled-plan
-// executor (CIRCUITGPS_EXEC=planned, DESIGN.md §10) for this config.
-// Unsupported configs fall back to eager silently — outputs are equivalent.
-bool use_planned_exec(const CircuitGps& model) {
-  return env_exec_mode() == ExecMode::kPlanned && exec::program_supported(model.config());
-}
-
 double validation_score(CircuitGps& model, const XcNormalizer& normalizer,
                         const TaskData& validation, bool link_task) {
   const std::vector<float> out = run_inference(model, normalizer, validation, 64, link_task);
@@ -163,7 +155,7 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
   const bool early_stopping = validation != nullptr && options.early_stop_patience > 0;
 
   model.set_training(true);
-  const bool planned = use_planned_exec(model);
+  const bool planned = env_exec_mode() == ExecMode::kPlanned;
   exec::PlanRunner runner(model);
   const std::unique_ptr<JsonlFile> run_log = open_run_log();
   const std::string run_id = trace::make_run_id();
@@ -339,7 +331,7 @@ std::vector<float> run_inference(CircuitGps& model, const XcNormalizer& normaliz
 
   std::vector<float> scores;
   scores.reserve(n);
-  if (use_planned_exec(model)) {
+  if (env_exec_mode() == ExecMode::kPlanned) {
     exec::PlanRunner runner(model);
     for (const SubgraphBatch& batch : prepared) {
       std::int64_t rows = 0;

@@ -133,16 +133,6 @@ BackendKind env_backend() {
   return BackendKind::kAuto;
 }
 
-QuantMode env_quant_mode() {
-  if (const char* env = std::getenv("CIRCUITGPS_QUANT")) {
-    const std::string v(env);
-    if (v == "int8") return QuantMode::kInt8;
-    if (v == "off" || v.empty()) return QuantMode::kOff;
-    warn_once("CIRCUITGPS_QUANT", env, "want off|int8; using off");
-  }
-  return QuantMode::kOff;
-}
-
 namespace {
 
 // Shared reader for the CIRCUITGPS_SERVE_* integer knobs: value must be an

@@ -56,10 +56,9 @@ std::string env_trace_path();
 bool env_trace_enabled();
 
 // Execution engine selected by CIRCUITGPS_EXEC. kEager (default) runs the
-// per-op autograd tape; kPlanned routes supported models through the
-// compiled plan executor in src/exec/ (eager remains the oracle and the
-// fallback for unsupported configs). Read fresh on every call so tests can
-// flip modes between runs.
+// per-op autograd tape; kPlanned routes every model config through the
+// compiled plan executor in src/exec/ (eager remains the equivalence
+// oracle). Read fresh on every call so tests can flip modes between runs.
 enum class ExecMode { kEager, kPlanned };
 ExecMode env_exec_mode();
 
@@ -70,15 +69,6 @@ ExecMode env_exec_mode();
 // with a warning when the CPU lacks them. Read fresh on every call.
 enum class BackendKind { kAuto, kScalar, kAvx2 };
 BackendKind env_backend();
-
-// Weight quantization mode selected by CIRCUITGPS_QUANT for the planned
-// executor's inference path. kOff (default) keeps every forward on fp32
-// weights; kInt8 swaps kLinear/kLinearRelu/kGather forwards onto symmetric
-// per-row int8 weights with fp32 accumulation (src/exec/quant). Training and
-// backward stay fp32 — a quantized PlanRunner refuses to build a backward
-// schedule. Read fresh on every call so tests can flip modes between runs.
-enum class QuantMode { kOff, kInt8 };
-QuantMode env_quant_mode();
 
 // cgps_serve daemon defaults (DESIGN.md §11). Each CLI flag on the tool
 // overrides the matching variable; the variable overrides the built-in

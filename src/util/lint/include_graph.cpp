@@ -799,13 +799,9 @@ DepsReport analyze_includes(const std::vector<FileUnit>& units,
                       "tools/cgps_atomics.txt scanner");
       }
     }
-    if (f.rel != "src/exec/quant.hpp") {
-      for (const std::size_t pos : token_offsets(s, "volatile"))
-        add_finding(report.findings, f, line_of(f.starts, pos), "volatile-banned",
-                    "`volatile` is not a concurrency tool; use std::atomic "
-                    "(the only sanctioned volatile is q8_combine's "
-                    "contraction barrier in src/exec/quant.hpp)");
-    }
+    for (const std::size_t pos : token_offsets(s, "volatile"))
+      add_finding(report.findings, f, line_of(f.starts, pos), "volatile-banned",
+                  "`volatile` is not a concurrency tool; use std::atomic");
   }
   if (have_atomics) {
     for (const AtomicsRow& row : atomics_rows) {

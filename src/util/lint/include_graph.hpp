@@ -24,8 +24,7 @@
 //                             tools/cgps_atomics.txt manifest
 //   atomics-manifest-stale    an atomics-manifest row matching no site
 //   atomics-manifest-unjustified  a row without a justification
-//   volatile-banned           `volatile` outside the documented q8_combine
-//                             contraction barrier (src/exec/quant.hpp)
+//   volatile-banned           any `volatile` in src/
 //   module-map-drift          the README.md (and, when present,
 //                             docs/OPERATIONS.md) module-map table lists a
 //                             module that does not exist, or misses one

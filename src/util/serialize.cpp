@@ -32,11 +32,6 @@ void BinaryWriter::write_i64_vector(const std::vector<std::int64_t>& v) {
   if (!v.empty()) write_raw(v.data(), v.size() * sizeof(std::int64_t));
 }
 
-void BinaryWriter::write_i8_vector(const std::vector<std::int8_t>& v) {
-  write_u64(v.size());
-  if (!v.empty()) write_raw(v.data(), v.size());
-}
-
 BinaryReader::BinaryReader(const std::string& path)
     : in_(path, std::ios::binary | std::ios::ate) {
   if (!in_) throw std::runtime_error("BinaryReader: cannot open " + path);
@@ -101,14 +96,6 @@ std::vector<std::int64_t> BinaryReader::read_i64_vector() {
   check_count(n, sizeof(std::int64_t));
   std::vector<std::int64_t> v(n);
   if (n > 0) read_raw(v.data(), n * sizeof(std::int64_t));
-  return v;
-}
-
-std::vector<std::int8_t> BinaryReader::read_i8_vector() {
-  const std::uint64_t n = read_u64();
-  check_count(n, 1);
-  std::vector<std::int8_t> v(n);
-  if (n > 0) read_raw(v.data(), n);
   return v;
 }
 

@@ -22,7 +22,6 @@ class BinaryWriter {
   void write_string(const std::string& s);
   void write_f32_vector(const std::vector<float>& v);
   void write_i64_vector(const std::vector<std::int64_t>& v);
-  void write_i8_vector(const std::vector<std::int8_t>& v);
 
  private:
   void write_raw(const void* data, std::size_t n);
@@ -40,7 +39,6 @@ class BinaryReader {
   std::string read_string();
   std::vector<float> read_f32_vector();
   std::vector<std::int64_t> read_i64_vector();
-  std::vector<std::int8_t> read_i8_vector();
 
   // Throws std::runtime_error unless `count` records of at least
   // `record_bytes` (>= 1) each fit in the bytes left. Every length prefix is

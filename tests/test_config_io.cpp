@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <string>
 
 namespace cgps {
 namespace {
@@ -82,6 +83,18 @@ TEST(ConfigIo, RejectsGarbage) {
   EXPECT_THROW(parse_experiment_config("gps.mpnn sage\n"), std::runtime_error);
   EXPECT_THROW(parse_experiment_config("gps.attn linear\n"), std::runtime_error);
   EXPECT_THROW(parse_experiment_config("gps.pe spd\n"), std::runtime_error);
+}
+
+TEST(ConfigIo, RejectsNonPositiveArchitectureSizes) {
+  // A zero here used to reach `dim % heads` (SIGFPE) or build empty layers.
+  for (const char* key : {"gps.hidden", "gps.layers", "gps.heads", "gps.performer_features",
+                          "gps.head_hidden"}) {
+    for (const char* value : {"0", "-3"}) {
+      const std::string text = std::string(key) + " " + value + "\n";
+      EXPECT_THROW(parse_experiment_config(text), std::runtime_error) << text;
+    }
+    EXPECT_NO_THROW(parse_experiment_config(std::string(key) + " 1\n")) << key;
+  }
 }
 
 TEST(ConfigIo, LoadsFromFile) {

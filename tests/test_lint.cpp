@@ -486,18 +486,21 @@ TEST_F(LintFixture, AtomicsManifestDiscipline) {
   }
 }
 
-TEST_F(LintFixture, VolatileBannedOutsideQuantBarrier) {
+TEST_F(LintFixture, VolatileBannedEverywhereInSrc) {
   write("README.md", "");
   write("src/v/bad.cpp", "volatile int spin = 0;\n");
-  write("src/exec/quant.hpp",
+  // No path is exempt, not even a floating-point contraction barrier.
+  write("src/exec/barrier.hpp",
         "#pragma once\n"
-        "inline float q8_combine(float a) { volatile float r = a; return r; }\n");
+        "inline float round_once(float a) { volatile float r = a; return r; }\n");
   write("tests/test_v.cpp", "volatile int probe = 0;\n");  // tests exempt
   const LintReport report = lint();
   const std::vector<std::string> got = rules(report, /*allowlisted=*/false);
-  EXPECT_EQ(got, (std::vector<std::string>{"volatile-banned"}));
-  EXPECT_EQ(report.findings[0].file, "src/v/bad.cpp");
-  EXPECT_EQ(report.findings[0].line, 1);
+  EXPECT_EQ(got, (std::vector<std::string>{"volatile-banned", "volatile-banned"}));
+  std::vector<std::string> files;
+  for (const auto& f : report.findings) files.push_back(f.file + ":" + std::to_string(f.line));
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"src/exec/barrier.hpp:2", "src/v/bad.cpp:1"}));
 }
 
 TEST_F(LintFixture, ModuleMapDriftBothDirections) {

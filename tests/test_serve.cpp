@@ -6,6 +6,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/json_writer.hpp"
+#include "util/metrics.hpp"
 
 #include <arpa/inet.h>
 #include <chrono>
@@ -120,6 +121,24 @@ TEST(ServeCore, CoalescedMatchesSoloBitwise) {
     EXPECT_EQ(coalesced[i].value, solo.value) << "request " << i;
     EXPECT_EQ(coalesced[i].cap_farads, solo.cap_farads) << "request " << i;
   }
+}
+
+// A non-finite forward output has no meaningful probability or capacitance.
+// sigmoid/clamp would pass NaN through as a kOk reply; the core must answer
+// kError and count it instead.
+TEST(ServeCore, NonFiniteOutputAnswersError) {
+  ServeFixture& f = fixture();
+  CircuitGps poisoned(small_config());
+  Tensor out_bias = poisoned.named_parameters().back().second;  // head_mlp output bias
+  for (float& v : out_bias.data()) v = std::numeric_limits<float>::quiet_NaN();
+  Counter& nonfinite = metric_counter("serve.nonfinite");
+  nonfinite.reset();
+  serve::ServeCore core(poisoned, f.normalizer, {f.design}, f.options());
+  Response out;
+  core.submit(f.link_request(1, 0, 1), [&out](const Response& r) { out = r; });
+  EXPECT_EQ(core.run_cycle(), 1);
+  EXPECT_EQ(out.status, Status::kError);
+  EXPECT_EQ(nonfinite.value(), 1);
 }
 
 TEST(ServeCore, ExpiredDeadlineIsShedAsTimeout) {
@@ -352,19 +371,12 @@ TEST(ServeCore, FreshDaemonStatsAreValidJsonWithoutNanInf) {
   EXPECT_EQ(w10->find("p50_s")->type, JsonValue::Type::kNull);
   EXPECT_EQ(w10->find("p99_s")->type, JsonValue::Type::kNull);
 
-  // Resident-memory fields introduced with the quantized serving path. The
-  // quant mode tracks the ambient CIRCUITGPS_QUANT (the quant CI leg runs
-  // this test with int8 forced on); either way a daemon that has served no
-  // traffic has not built a quant store yet, so the byte gauge reads 0.
+  // Resident-memory fields: the served design's footprint and the fp32 model.
   const JsonValue* designs = parsed->find("designs");
   ASSERT_NE(designs, nullptr);
   ASSERT_EQ(designs->array.size(), 1u);
   EXPECT_GT(designs->array[0].find("resident_bytes")->number, 0.0);
   EXPECT_GT(parsed->find("model_fp32_bytes")->number, 0.0);
-  EXPECT_EQ(parsed->find("model_quant_bytes")->number, 0.0);
-  const std::string& quant = parsed->find("quant")->string;
-  EXPECT_TRUE(quant == "off" || quant == "int8") << quant;
-  EXPECT_EQ(quant == "int8", core.quantized());
 }
 
 // Corrupt or truncated frames carrying (or pretending to carry) a kStats
@@ -483,9 +495,9 @@ TEST(ServeCore, AccessLogWritesSchemaRecordsAndRotates) {
   std::remove((path + ".1").c_str());
 }
 
-TEST(ServeProtocol, StatsResponseRoundTripAndVersionBounds) {
+TEST(ServeProtocol, StatsResponseRoundTrip) {
   const std::string json = "{\"schema\":\"cgps-serve-stats-v1\"}";
-  std::vector<std::uint8_t> payload = serve::encode_stats_response(0xABCDull, json);
+  const std::vector<std::uint8_t> payload = serve::encode_stats_response(0xABCDull, json);
   const auto decoded = serve::decode_stats_response(payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->id, 0xABCDull);
@@ -499,31 +511,34 @@ TEST(ServeProtocol, StatsResponseRoundTripAndVersionBounds) {
     EXPECT_FALSE(serve::decode_stats_response(trunc).has_value()) << "cut=" << cut;
   }
 
-  // Version handshake: every layout version this build knows is accepted,
-  // the next one is rejected rather than misread. The version byte follows
-  // the 4-byte magic.
-  for (std::uint8_t v = serve::kMinProtocolVersion; v <= serve::kProtocolVersion; ++v) {
-    payload[4] = v;
-    EXPECT_TRUE(serve::decode_stats_response(payload).has_value()) << "v=" << int(v);
-  }
-  payload[4] = serve::kProtocolVersion + 1;
-  EXPECT_FALSE(serve::decode_stats_response(payload).has_value());
-  payload[4] = serve::kProtocolVersion;
-
   // A stats payload is not a response payload and vice versa.
   EXPECT_FALSE(serve::decode_response(payload).has_value());
   Response resp;
   EXPECT_FALSE(serve::decode_stats_response(serve::encode_response(resp)).has_value());
+}
 
-  // Requests and responses stamp v1 (their layout is unchanged) but must
-  // accept a v2 stamp from newer peers.
-  Request r;
-  std::vector<std::uint8_t> req = serve::encode_request(r);
-  EXPECT_EQ(req[4], serve::kMinProtocolVersion);
-  req[4] = serve::kProtocolVersion;
+// One wire version: every encoder stamps kProtocolVersion (2) in the byte
+// after the 4-byte magic, and every decoder rejects the retired v1 and the
+// unknown v3 rather than misreading them.
+TEST(ServeProtocol, EveryPayloadIsVersion2Only) {
+  ASSERT_EQ(serve::kProtocolVersion, 2);
+  std::vector<std::uint8_t> req = serve::encode_request(Request{});
+  std::vector<std::uint8_t> resp = serve::encode_response(Response{});
+  std::vector<std::uint8_t> stats = serve::encode_stats_response(7, "{}");
+  EXPECT_EQ(req[4], 2);
+  EXPECT_EQ(resp[4], 2);
+  EXPECT_EQ(stats[4], 2);
   EXPECT_TRUE(serve::decode_request(req).has_value());
-  req[4] = serve::kProtocolVersion + 1;
-  EXPECT_FALSE(serve::decode_request(req).has_value());
+  EXPECT_TRUE(serve::decode_response(resp).has_value());
+  EXPECT_TRUE(serve::decode_stats_response(stats).has_value());
+  for (const std::uint8_t v : {std::uint8_t{1}, std::uint8_t{3}}) {
+    req[4] = v;
+    resp[4] = v;
+    stats[4] = v;
+    EXPECT_FALSE(serve::decode_request(req).has_value()) << "v=" << int(v);
+    EXPECT_FALSE(serve::decode_response(resp).has_value()) << "v=" << int(v);
+    EXPECT_FALSE(serve::decode_stats_response(stats).has_value()) << "v=" << int(v);
+  }
 }
 
 TEST(ServeProtocol, RequestAndResponseRoundTrip) {

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // A v1 bundle (or --demo) carries no normalizer: fit over the served
+  // A bundle saved without one (or --demo) carries no normalizer: fit over the served
   // designs and warn — feature scaling then differs from training time.
   if (!bundle.normalizer.fitted()) {
     for (const serve::ServedDesign& design : designs) bundle.normalizer.fit(design.xc);
@@ -216,11 +216,6 @@ int main(int argc, char** argv) {
   options.queue_cap = args.queue_cap;
   options.default_deadline_us = static_cast<std::int64_t>(args.deadline_ms) * 1000;
   serve::ServeCore core(*bundle.model, bundle.normalizer, std::move(designs), options);
-  if (core.quantized() && !bundle.quant.entries.empty()) {
-    log_info("cgps_serve: using pre-quantized int8 weights from the v3 bundle (",
-             bundle.quant.entries.size(), " tensors)");
-    core.set_prequantized(std::move(bundle.quant));
-  }
   // Stamp what the kStats snapshot reports as this daemon's identity.
   serve::ServeIdentity identity;
   identity.checkpoint = args.demo ? "demo" : args.checkpoint;
