@@ -3,7 +3,6 @@
 // sampling, and the positional encodings of Table II.
 #include "common.hpp"
 #include "exec/arena.hpp"
-#include "exec/backend.hpp"
 #include "exec/runner.hpp"
 #include "gen/designs.hpp"
 #include "gps/batch.hpp"
@@ -13,7 +12,6 @@
 #include "netlist/hierarchy.hpp"
 #include "nn/attention.hpp"
 #include "nn/gated_gcn.hpp"
-#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/optim.hpp"
 #include "train/dataset.hpp"
@@ -132,84 +130,9 @@ void BM_Attention(benchmark::State& state) {
 BENCHMARK(BM_Attention)->Arg(0)->Arg(1);  // 0 = softmax Transformer, 1 = Performer
 
 // ---------------------------------------------------------------- exec ---
-// Plan-executor benches (DESIGN.md §10): fused kernels vs their unfused op
-// sequences, arena binding vs per-buffer heap allocation, and whole-model
-// planned vs eager training steps. Keys are exported as exec.*.real_ns.
-
-void BM_ExecLinearReluUnfused(benchmark::State& state) {
-  const std::int64_t m = 256, k = 48, n = 48;
-  Rng rng(11);
-  std::vector<float> x(static_cast<std::size_t>(m * k)), w(static_cast<std::size_t>(k * n)),
-      b(static_cast<std::size_t>(n)), mm(static_cast<std::size_t>(m * n)),
-      out(static_cast<std::size_t>(m * n));
-  for (float& v : x) v = rng.normal();
-  for (float& v : w) v = rng.normal();
-  for (float& v : b) v = rng.normal();
-  const exec::KernelBackend& backend = exec::select_backend();
-  for (auto _ : state) {
-    backend.matmul_fwd(x.data(), w.data(), mm.data(), m, k, n);
-    kern::add_rowvec_fwd(mm.data(), b.data(), out.data(), m, n);
-    par::parallel_for(0, m * n, par::grain_for(1), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) out[static_cast<std::size_t>(i)] =
-          kern::relu1(out[static_cast<std::size_t>(i)]);
-    });
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_ExecLinearReluUnfused);
-
-void BM_ExecLinearReluFused(benchmark::State& state) {
-  const std::int64_t m = 256, k = 48, n = 48;
-  Rng rng(11);
-  std::vector<float> x(static_cast<std::size_t>(m * k)), w(static_cast<std::size_t>(k * n)),
-      b(static_cast<std::size_t>(n)), out(static_cast<std::size_t>(m * n));
-  for (float& v : x) v = rng.normal();
-  for (float& v : w) v = rng.normal();
-  for (float& v : b) v = rng.normal();
-  const exec::KernelBackend& backend = exec::select_backend();
-  for (auto _ : state) {
-    backend.linear_relu_fwd(x.data(), w.data(), b.data(), out.data(), m, k, n);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_ExecLinearReluFused);
-
-void BM_ExecGateChainUnfused(benchmark::State& state) {
-  const std::int64_t count = 4096 * 48;
-  Rng rng(12);
-  std::vector<float> e_hat(static_cast<std::size_t>(count)), lm(static_cast<std::size_t>(count)),
-      eta(static_cast<std::size_t>(count)), msg(static_cast<std::size_t>(count));
-  for (float& v : e_hat) v = rng.normal();
-  for (float& v : lm) v = rng.normal();
-  for (auto _ : state) {
-    par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i)
-        eta[static_cast<std::size_t>(i)] = kern::sigmoid1(e_hat[static_cast<std::size_t>(i)]);
-    });
-    par::parallel_for(0, count, par::grain_for(1), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i)
-        msg[static_cast<std::size_t>(i)] =
-            kern::mul1(eta[static_cast<std::size_t>(i)], lm[static_cast<std::size_t>(i)]);
-    });
-    benchmark::DoNotOptimize(msg.data());
-  }
-}
-BENCHMARK(BM_ExecGateChainUnfused);
-
-void BM_ExecGateChainFused(benchmark::State& state) {
-  const std::int64_t count = 4096 * 48;
-  Rng rng(12);
-  std::vector<float> e_hat(static_cast<std::size_t>(count)), lm(static_cast<std::size_t>(count)),
-      eta(static_cast<std::size_t>(count)), msg(static_cast<std::size_t>(count));
-  for (float& v : e_hat) v = rng.normal();
-  for (float& v : lm) v = rng.normal();
-  const exec::KernelBackend& backend = exec::select_backend();
-  for (auto _ : state) {
-    backend.gate_chain_fwd(e_hat.data(), lm.data(), eta.data(), msg.data(), count);
-    benchmark::DoNotOptimize(msg.data());
-  }
-}
-BENCHMARK(BM_ExecGateChainFused);
+// Plan-executor benches (DESIGN.md §10): arena binding vs per-buffer heap
+// allocation, and whole-model planned vs eager forwards and training steps.
+// Keys are exported as exec.*.real_ns.
 
 // Plan-shaped buffer set: ~200 tensors with staggered liveness.
 std::vector<exec::ArenaRequest> arena_requests() {
@@ -524,13 +447,9 @@ int main(int argc, char** argv) {
     if (row.name == "BM_TraceSpanOffPath")
       report.add_metric("trace_span.overhead.real_ns", to_ns(row.real_time, row.time_unit),
                         cgps::MetricDirection::kLowerIsBetter);
-    // Stable aliases for the plan executor (DESIGN.md §10): fused vs unfused
-    // kernel pairs, arena vs heap binding, and whole-model planned vs eager.
+    // Stable aliases for the plan executor (DESIGN.md §10): arena vs heap
+    // binding, and whole-model planned vs eager.
     static const std::pair<const char*, const char*> kExecAliases[] = {
-        {"BM_ExecLinearReluUnfused", "exec.linear_relu.unfused.real_ns"},
-        {"BM_ExecLinearReluFused", "exec.linear_relu.fused.real_ns"},
-        {"BM_ExecGateChainUnfused", "exec.gate_chain.unfused.real_ns"},
-        {"BM_ExecGateChainFused", "exec.gate_chain.fused.real_ns"},
         {"BM_ExecArenaBind", "exec.bind.arena.real_ns"},
         {"BM_ExecMallocBind", "exec.bind.malloc.real_ns"},
         {"BM_ExecEagerForward", "exec.forward.eager.real_ns"},

@@ -1,8 +1,8 @@
 // Pluggable kernel backend for the planned executor (DESIGN.md §10).
 //
-// The executor routes its compute-bound inner loops — the matmul family and
-// the fused kernels — through this interface; everything memory-bound stays
-// on the shared kern:: reference loops. Contract every implementation must
+// The executor routes its compute-bound inner loops — the matmul family —
+// through this interface; everything memory-bound stays on the shared kern::
+// reference loops. Contract every implementation must
 // honour:
 //   * Output-disjoint parallel partitioning identical to kern:: (chunks are
 //     a pure function of problem size), so results are deterministic at any
@@ -36,17 +36,6 @@ class KernelBackend {
   // dB(inner,cols) += A(rows,inner)^T dC(rows,cols).
   virtual void matmul_db(const float* dc, const float* a, float* db, std::int64_t rows,
                          std::int64_t inner, std::int64_t cols) const = 0;
-
-  // Fused linear: O = X W + bias, one pass over the output rows.
-  virtual void linear_fwd(const float* x, const float* w, const float* bias, float* o,
-                          std::int64_t m, std::int64_t k, std::int64_t n) const = 0;
-  // Fused linear + ReLU: O = max(X W + bias, 0).
-  virtual void linear_relu_fwd(const float* x, const float* w, const float* bias, float* o,
-                               std::int64_t m, std::int64_t k, std::int64_t n) const = 0;
-  // Fused GatedGCN gate chain: eta = sigmoid(e_hat), msg = eta * lm, one pass.
-  // Both outputs are materialized (eta feeds the denominator scatter).
-  virtual void gate_chain_fwd(const float* e_hat, const float* lm, float* eta, float* msg,
-                              std::int64_t count) const = 0;
 };
 
 // The bit-exact reference backend (always available).

@@ -14,7 +14,6 @@
 
 #include <immintrin.h>
 
-#include "tensor/kernels.hpp"
 #include "util/parallel.hpp"
 
 namespace cgps::exec {
@@ -138,51 +137,6 @@ class Avx2Backend final : public KernelBackend {
           if (aip == 0.0f) continue;
           axpy8(aip, dci, db + p * cols, cols);
         }
-      }
-    });
-  }
-
-  void linear_fwd(const float* x, const float* w, const float* bias, float* o, std::int64_t m,
-                  std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* oi = o + i * n;
-        row_fwd(x + i * k, w, oi, k, n);
-        std::int64_t j = 0;
-        for (; j + 8 <= n; j += 8)
-          _mm256_storeu_ps(oi + j,
-                           _mm256_add_ps(_mm256_loadu_ps(oi + j), _mm256_loadu_ps(bias + j)));
-        for (; j < n; ++j) oi[j] += bias[j];
-      }
-    });
-  }
-
-  void linear_relu_fwd(const float* x, const float* w, const float* bias, float* o,
-                       std::int64_t m, std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      const __m256 zero = _mm256_setzero_ps();
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* oi = o + i * n;
-        row_fwd(x + i * k, w, oi, k, n);
-        std::int64_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          const __m256 v = _mm256_add_ps(_mm256_loadu_ps(oi + j), _mm256_loadu_ps(bias + j));
-          _mm256_storeu_ps(oi + j, _mm256_max_ps(v, zero));
-        }
-        for (; j < n; ++j) oi[j] = kern::relu1(oi[j] + bias[j]);
-      }
-    });
-  }
-
-  void gate_chain_fwd(const float* e_hat, const float* lm, float* eta, float* msg,
-                      std::int64_t count) const override {
-    // The sigmoid is exp-bound, not SIMD-bound; the win here is the single
-    // fused pass, same as scalar.
-    par::parallel_for(0, count, par::grain_for(2), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const float s = kern::sigmoid1(e_hat[i]);
-        eta[i] = s;
-        msg[i] = s * lm[i];
       }
     });
   }

@@ -1,12 +1,8 @@
 // Bit-exact reference backend: delegates the matmul family to the shared
-// kern:: loops and implements the fused kernels as single passes whose
-// per-element arithmetic is exactly the unfused sequence (full RN dot sum,
-// then one bias add, then the ReLU compare), so fused scalar results are
-// bitwise identical to eager. No allocation anywhere in this file
-// (cgps_lint: exec-kernel-alloc).
+// kern:: loops, so scalar results are bitwise identical to eager. No
+// allocation anywhere in this file (cgps_lint: exec-kernel-alloc).
 #include "exec/backend.hpp"
 #include "tensor/kernels.hpp"
-#include "util/parallel.hpp"
 
 namespace cgps::exec {
 
@@ -29,53 +25,6 @@ class ScalarBackend final : public KernelBackend {
   void matmul_db(const float* dc, const float* a, float* db, std::int64_t rows,
                  std::int64_t inner, std::int64_t cols) const override {
     kern::matmul_db(dc, a, db, rows, inner, cols);
-  }
-
-  void linear_fwd(const float* x, const float* w, const float* bias, float* o, std::int64_t m,
-                  std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* oi = o + i * n;
-        accumulate_row(x + i * k, w, oi, k, n);
-        for (std::int64_t j = 0; j < n; ++j) oi[j] += bias[j];
-      }
-    });
-  }
-
-  void linear_relu_fwd(const float* x, const float* w, const float* bias, float* o,
-                       std::int64_t m, std::int64_t k, std::int64_t n) const override {
-    par::parallel_for(0, m, par::grain_for(k * n), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* oi = o + i * n;
-        accumulate_row(x + i * k, w, oi, k, n);
-        for (std::int64_t j = 0; j < n; ++j) oi[j] = kern::relu1(oi[j] + bias[j]);
-      }
-    });
-  }
-
-  void gate_chain_fwd(const float* e_hat, const float* lm, float* eta, float* msg,
-                      std::int64_t count) const override {
-    par::parallel_for(0, count, par::grain_for(2), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const float s = kern::sigmoid1(e_hat[i]);
-        eta[i] = s;
-        msg[i] = s * lm[i];
-      }
-    });
-  }
-
- private:
-  // One output row of X W, the exact kern::matmul_fwd inner loop (zero, then
-  // ikj axpy with zero-skip on the A element).
-  static void accumulate_row(const float* xi, const float* w, float* oi, std::int64_t k,
-                             std::int64_t n) {
-    for (std::int64_t j = 0; j < n; ++j) oi[j] = 0.0f;
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float xip = xi[p];
-      if (xip == 0.0f) continue;
-      const float* wp = w + p * n;
-      for (std::int64_t j = 0; j < n; ++j) oi[j] += xip * wp[j];
-    }
   }
 };
 

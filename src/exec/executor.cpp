@@ -260,18 +260,11 @@ void Executor::bind(const SubgraphBatch& batch, const float* target, const float
     if (plan_.aux[id].def >= 0) aux_[id] = base + offsets[r++];
   }
 
-  // kLinearRelu backward scratch (grow-only; shared across steps).
-  std::int64_t scratch = 0;
-  for (const Step& st : plan_.bwd)
-    if (st.op == Op::kLinearRelu) scratch = std::max(scratch, numel(st.n0));
-  if (static_cast<std::int64_t>(fused_scratch_.size()) < scratch)
-    fused_scratch_.resize(static_cast<std::size_t>(scratch));
-
   metric_gauge("exec.arena_bytes").set(static_cast<double>(arena_.bound_bytes()));
 }
 
 void Executor::run_fwd(Rng& rng) {
-  for (const Step& st : plan_.fwd) exec_fwd_step(st, rng);
+  for (int id : plan_.fwd) exec_fwd_step(id, rng);
 }
 
 void Executor::run_bwd() {
@@ -294,12 +287,11 @@ void Executor::run_bwd() {
 
 // ------------------------------------------------------------------ forward --
 
-void Executor::exec_fwd_step(const Step& st, Rng& rng) {
+void Executor::exec_fwd_step(int id, Rng& rng) {
   const auto& nodes = plan_.prog.nodes;
-  const int id = st.n0;
   const NodeDef& d = nodes[static_cast<std::size_t>(id)];
   float* out = val_[static_cast<std::size_t>(id)];
-  switch (st.op) {
+  switch (d.op) {
     case Op::kZeros:
       std::fill(out, out + numel(id), 0.0f);
       break;
@@ -353,7 +345,7 @@ void Executor::exec_fwd_step(const Step& st, Rng& rng) {
     case Op::kDiv: {
       const float* a = val_[static_cast<std::size_t>(d.inputs[0])];
       const float* b = val_[static_cast<std::size_t>(d.inputs[1])];
-      const Op op = st.op;
+      const Op op = d.op;
       par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
         switch (op) {
           case Op::kAdd:
@@ -448,36 +440,6 @@ void Executor::exec_fwd_step(const Step& st, Rng& rng) {
     case Op::kPerformer:
       fwd_performer(id);
       break;
-    case Op::kLinear:
-    case Op::kLinearRelu: {
-      const int mm = st.op == Op::kLinear ? st.n1 : st.n2;
-      const int arv = st.op == Op::kLinear ? st.n0 : st.n1;
-      const NodeDef& dm = nodes[static_cast<std::size_t>(mm)];
-      const int x = dm.inputs[0], w = dm.inputs[1];
-      const int bias = nodes[static_cast<std::size_t>(arv)].inputs[1];
-      const std::int64_t m = rows_[static_cast<std::size_t>(x)];
-      const std::int64_t k = nodes[static_cast<std::size_t>(x)].cols;
-      const std::int64_t c = nodes[static_cast<std::size_t>(w)].cols;
-      if (st.op == Op::kLinear)
-        backend_->linear_fwd(val_[static_cast<std::size_t>(x)],
-                             val_[static_cast<std::size_t>(w)],
-                             val_[static_cast<std::size_t>(bias)], out, m, k, c);
-      else
-        backend_->linear_relu_fwd(val_[static_cast<std::size_t>(x)],
-                                  val_[static_cast<std::size_t>(w)],
-                                  val_[static_cast<std::size_t>(bias)], out, m, k, c);
-      break;
-    }
-    case Op::kGateChain: {
-      // n0 = mul (msg), n1 = sigmoid (eta); e_hat is the sigmoid operand.
-      const int eta = st.n1;
-      const int e_hat = nodes[static_cast<std::size_t>(eta)].inputs[0];
-      const int lm = d.inputs[1];
-      backend_->gate_chain_fwd(val_[static_cast<std::size_t>(e_hat)],
-                               val_[static_cast<std::size_t>(lm)],
-                               val_[static_cast<std::size_t>(eta)], out, numel(id));
-      break;
-    }
     default:
       throw std::logic_error("exec: unexpected forward step op");
   }
@@ -637,12 +599,11 @@ void Executor::fwd_performer(int id) {
 
 // ----------------------------------------------------------------- backward --
 
-void Executor::exec_bwd_step(const Step& st) {
+void Executor::exec_bwd_step(int id) {
   const auto& nodes = plan_.prog.nodes;
-  const int id = st.n0;
   const NodeDef& d = nodes[static_cast<std::size_t>(id)];
   const float* dy = grad_[static_cast<std::size_t>(id)];
-  switch (st.op) {
+  switch (d.op) {
     case Op::kGather: {
       if (!input_rg(id, 0)) break;
       const std::int64_t count = resolve_rows(d.idx_rows, 0);
@@ -703,7 +664,7 @@ void Executor::exec_bwd_step(const Step& st) {
     case Op::kSub: {
       float* ga = input_rg(id, 0) ? grad_[static_cast<std::size_t>(d.inputs[0])] : nullptr;
       float* gb = input_rg(id, 1) ? grad_[static_cast<std::size_t>(d.inputs[1])] : nullptr;
-      const bool sub = st.op == Op::kSub;
+      const bool sub = d.op == Op::kSub;
       par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
           if (ga != nullptr) ga[i] += dy[i];
@@ -718,7 +679,7 @@ void Executor::exec_bwd_step(const Step& st) {
       const float* b = val_[static_cast<std::size_t>(d.inputs[1])];
       float* ga = input_rg(id, 0) ? grad_[static_cast<std::size_t>(d.inputs[0])] : nullptr;
       float* gb = input_rg(id, 1) ? grad_[static_cast<std::size_t>(d.inputs[1])] : nullptr;
-      const bool mul = st.op == Op::kMul;
+      const bool mul = d.op == Op::kMul;
       par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
           float da = 0.0f;
@@ -829,45 +790,9 @@ void Executor::exec_bwd_step(const Step& st) {
     case Op::kPerformer:
       bwd_performer(id);
       break;
-    case Op::kLinear:
-      bwd_linear(st, dy);
-      break;
-    case Op::kLinearRelu: {
-      // Mask with the fused output: relu(v) > 0 <=> v > 0, so this is bitwise
-      // the eager input-side mask even though the pre-activation was elided.
-      const float* out = val_[static_cast<std::size_t>(id)];
-      float* dyb = fused_scratch_.data();
-      par::parallel_for(0, numel(id), par::grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) dyb[i] = out[i] > 0.0f ? dy[i] : 0.0f;
-      });
-      bwd_linear(st, dyb);
-      break;
-    }
     default:
       throw std::logic_error("exec: unexpected backward step op");
   }
-}
-
-void Executor::bwd_linear(const Step& st, const float* dyb) {
-  const auto& nodes = plan_.prog.nodes;
-  const int arv = st.op == Op::kLinear ? st.n0 : st.n1;
-  const int mm = st.op == Op::kLinear ? st.n1 : st.n2;
-  const NodeDef& dm = nodes[static_cast<std::size_t>(mm)];
-  const int x = dm.inputs[0], w = dm.inputs[1];
-  const int bias = nodes[static_cast<std::size_t>(arv)].inputs[1];
-  const std::int64_t m = rows_[static_cast<std::size_t>(x)];
-  const std::int64_t k = nodes[static_cast<std::size_t>(x)].cols;
-  const std::int64_t c = nodes[static_cast<std::size_t>(w)].cols;
-  // Eager firing order: add_rowvec closure (db), then matmul closure (da,
-  // db). All three targets are distinct buffers.
-  if (nodes[static_cast<std::size_t>(bias)].requires_grad)
-    kern::add_rowvec_bwd_db(dyb, grad_[static_cast<std::size_t>(bias)], m, c);
-  if (nodes[static_cast<std::size_t>(x)].requires_grad)
-    backend_->matmul_da(dyb, val_[static_cast<std::size_t>(w)],
-                        grad_[static_cast<std::size_t>(x)], m, k, c);
-  if (nodes[static_cast<std::size_t>(w)].requires_grad)
-    backend_->matmul_db(dyb, val_[static_cast<std::size_t>(x)],
-                        grad_[static_cast<std::size_t>(w)], m, k, c);
 }
 
 void Executor::bwd_batchnorm(int id) {

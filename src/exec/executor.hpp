@@ -75,15 +75,14 @@ class Executor {
   const std::int32_t* index_array(SrcKind src) const;
   const float* input_matrix(SrcKind src) const;
   std::int64_t aux_floats(int id);
-  void exec_fwd_step(const Step& step, Rng& rng);
-  void exec_bwd_step(const Step& step);
+  void exec_fwd_step(int id, Rng& rng);
+  void exec_bwd_step(int id);
   void fwd_multihead(int id);
   void bwd_multihead(int id);
   void fwd_performer(int id);
   void bwd_performer(int id);
   void fwd_batchnorm(int id);
   void bwd_batchnorm(int id);
-  void bwd_linear(const Step& step, const float* dyb);
   bool input_rg(int id, std::size_t slot) const;
   std::int64_t numel(int id) const {
     return rows_[static_cast<std::size_t>(id)] *
@@ -114,8 +113,6 @@ class Executor {
   std::vector<MegaLayout> mega_;
   std::vector<int> param_ids_;
   std::vector<ArenaRequest> requests_;   // reused across binds
-  std::vector<float> fused_scratch_;    // kLinearRelu backward dyb (grow-only)
-
 };
 
 }  // namespace cgps::exec

@@ -127,17 +127,11 @@ struct Builder {
     return push(std::move(d));
   }
 
-  // Linear layer: matmul immediately followed by add_rowvec (consecutive ids
-  // are what makes the plan compiler's kLinear/kLinearRelu fusion fire).
+  // Linear layer: matmul, then add_rowvec when the layer has a bias.
   int linear(const std::string& prefix, int x) {
-    const int w = param(prefix + ".weight");
-    // Materialize the bias param node first: a lazily created kParam between
-    // the matmul and the add_rowvec would break their id-adjacency and the
-    // fusion would never fire.
-    const bool has_bias = params_.find(prefix + ".bias") != params_.end();
-    const int b = has_bias ? param(prefix + ".bias") : -1;
-    const int mm = matmul(x, w);
-    if (!has_bias) return mm;
+    const int mm = matmul(x, param(prefix + ".weight"));
+    if (params_.find(prefix + ".bias") == params_.end()) return mm;
+    const int b = param(prefix + ".bias");
     NodeDef d;
     d.op = Op::kAddRowvec;
     d.inputs = {mm, b};

@@ -53,11 +53,6 @@ enum class Op : std::uint8_t {
   // softmax+scale fusion of DESIGN.md §10 lives here).
   kMultihead,
   kPerformer,
-  // Fused step kinds, produced only by the fusion pass (plan.cpp); they
-  // never appear as node ops.
-  kLinear,      // matmul + bias
-  kLinearRelu,  // matmul + bias + relu
-  kGateChain,   // sigmoid(e_hat) * msg, both values materialized
 };
 
 // Symbolic row counts, resolved per batch at bind time.

@@ -1,5 +1,5 @@
-// Plan compilation: forward/backward schedules, op fusion, and liveness
-// intervals over a recorded Program (DESIGN.md §10).
+// Plan compilation: forward/backward schedules and liveness intervals over a
+// recorded Program (DESIGN.md §10).
 #pragma once
 
 #include "exec/ir.hpp"
@@ -8,21 +8,9 @@
 
 namespace cgps::exec {
 
-// One executable step. For fused steps the constituent node ids ride along:
-//   kLinear:     n0 = add_rowvec node, n1 = matmul node
-//   kLinearRelu: n0 = relu node, n1 = add_rowvec node, n2 = matmul node
-//   kGateChain:  n0 = mul (msg) node, n1 = sigmoid (eta) node
-// Unfused steps carry the node in n0 with op == nodes[n0].op.
-struct Step {
-  Op op = Op::kZeros;
-  int n0 = -1;
-  int n1 = -1;
-  int n2 = -1;
-};
-
 // Liveness interval in global step indices: forward step i is index i,
 // backward step j is index fwd.size() + j. last < def means "never read"
-// (dead value — still materialized unless elided).
+// (dead value — still materialized).
 struct Life {
   int def = -1;
   int last = -1;
@@ -30,11 +18,12 @@ struct Life {
 
 struct Plan {
   Program prog;
-  std::vector<Step> fwd;
-  std::vector<Step> bwd;
+  // One step per non-source node, named by its node id: the forward in
+  // recording order, the backward in eager closure firing order.
+  std::vector<int> fwd;
+  std::vector<int> bwd;
 
-  // node id -> global index of the step that fires its backward (constituents
-  // of a fused backward all map to the fused step), or -1.
+  // node id -> global index of the step that fires its backward, or -1.
   std::vector<int> node_bwd_step;
   // node id -> global index of the step that defines its value, or -1 for
   // params/inputs (whose storage lives outside the arena).
@@ -44,7 +33,6 @@ struct Plan {
   std::vector<Life> grad;  // arena grad intervals (params: def == -1, grads
                            // accumulate into the model tensors)
   std::vector<Life> aux;   // saved-for-backward buffers (BN xhat, masks, mega saves)
-  std::vector<char> value_elided;  // fusion removed this intermediate entirely
 
   // Per backward step: node grads to memset before executing it (the planned
   // equivalent of eager's lazy ensure_grad zeroing; all writes are +=).
@@ -54,7 +42,7 @@ struct Plan {
 };
 
 // Compile a recorded program: derive the backward schedule with the exact
-// eager tape DFS, run the fusion pass, and compute liveness.
+// eager tape DFS and compute liveness.
 Plan compile(Program prog);
 
 }  // namespace cgps::exec

@@ -4,7 +4,10 @@
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
 
+#include <algorithm>
 #include <arpa/inet.h>
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <netinet/in.h>
@@ -97,43 +100,64 @@ void ServeServer::stop() {
   }
   // The hook captures `this`; the core may outlive this server.
   core_.set_cycle_hook({});
-  // Closing the listener unblocks accept(); shutting connection fds unblocks
-  // their blocked read_frame calls.
+  // Shutting the listener down unblocks accept(); it is closed only once
+  // the accept thread is gone, so that thread never reads a stale or reused
+  // descriptor. After that no connection can appear, and shutting every
+  // live fd unblocks its reader's read().
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   close_fd(listen_fd_);
   listen_fd_ = -1;
+  std::vector<std::shared_ptr<Connection>> all;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const auto& conn : conns_) {
-      if (conn->open.exchange(false)) ::shutdown(conn->fd, SHUT_RDWR);
+      std::lock_guard<std::mutex> write_lock(conn->write_mu);
+      conn->open.store(false);
+      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
     }
+    all = conns_;
+    all.insert(all.end(), finished_.begin(), finished_.end());
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> readers;
+  for (const auto& conn : all) conn->reader.join();
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  conns_.clear();
+  finished_.clear();
+}
+
+void ServeServer::join_finished() {
+  std::vector<std::shared_ptr<Connection>> done;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    readers.swap(readers_);
+    done.swap(finished_);
   }
-  for (std::thread& t : readers)
-    if (t.joinable()) t.join();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_) close_fd(conn->fd);
-    conns_.clear();
-  }
+  for (const auto& conn : done) conn->reader.join();
 }
 
 void ServeServer::accept_loop() {
+  bool backing_off = false;
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed (stop) or fatal error
-    }
+    const int err = errno;
     if (stopping_.load()) {
       close_fd(fd);
       return;
     }
+    join_finished();
+    if (fd < 0) {
+      if (err == EINTR || err == ECONNABORTED) continue;
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        // Out of descriptors: the peer waits in the listen backlog while
+        // closing connections release theirs. Retry instead of going deaf.
+        if (!backing_off)
+          log_warn("cgps_serve: accept() failed: ", std::strerror(err), "; retrying");
+        backing_off = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
+      return;  // listener closed (stop) or fatal error
+    }
+    backing_off = false;
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>();
@@ -141,9 +165,11 @@ void ServeServer::accept_loop() {
     metric_counter("serve.connections").add(1);
     metric_gauge("serve.active_connections")
         .set(static_cast<double>(active_conns_.fetch_add(1, std::memory_order_relaxed) + 1));
+    // The reader's exit takes conns_mu_, so it cannot retire the connection
+    // before its thread handle is stored.
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.push_back(conn);
-    readers_.emplace_back([this, conn] { reader_loop(conn); });
+    conn->reader = std::thread([this, conn] { reader_loop(conn); });
   }
 }
 
@@ -213,9 +239,17 @@ void ServeServer::reader_loop(const std::shared_ptr<Connection>& conn) {
     if (submitted || protocol_error) flush_connection(*conn);
   }
   flush_connection(*conn);
-  if (conn->open.exchange(false)) ::shutdown(conn->fd, SHUT_RDWR);
+  {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    conn->open.store(false);
+    close_fd(conn->fd);
+    conn->fd = -1;
+  }
   metric_gauge("serve.active_connections")
       .set(static_cast<double>(active_conns_.fetch_sub(1, std::memory_order_relaxed) - 1));
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  conns_.erase(std::find(conns_.begin(), conns_.end(), conn));
+  finished_.push_back(conn);
 }
 
 }  // namespace cgps::serve

@@ -41,6 +41,8 @@ class ServeServer {
 
  private:
   struct Connection {
+    // Closed (and set to -1) by the reader on exit, under write_mu after
+    // `open` goes false, so no writer can hit a reused descriptor number.
     int fd = -1;
     std::mutex write_mu;
     std::atomic<bool> open{true};
@@ -48,10 +50,13 @@ class ServeServer {
     // at each batch boundary (ServeCore cycle hook) — the syscall-per-
     // response cost is what would otherwise cap pipelined throughput.
     std::vector<std::uint8_t> out_buf;
+    std::thread reader;
   };
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
+  // Join the readers of connections that have closed since the last call.
+  void join_finished();
   static void flush_connection(Connection& conn);
   void flush_all();
 
@@ -66,8 +71,10 @@ class ServeServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex conns_mu_;
+  // Live connections only: a reader moves its connection to finished_ as it
+  // exits, and the accept thread (or stop) joins it from there.
   std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> readers_;
+  std::vector<std::shared_ptr<Connection>> finished_;
 };
 
 }  // namespace cgps::serve

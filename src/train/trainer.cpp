@@ -215,12 +215,29 @@ TrainStats run_training(CircuitGps& model, const XcNormalizer& normalizer,
         }
       }
       // A non-finite loss would poison the weights and the epoch mean
-      // without a trace; stop here, before backward and the optimizer step.
+      // without a trace; stop here, before backward and the optimizer step,
+      // and leave the reason in the run log.
       const double step_loss = planned ? planned_loss : loss.item();
-      if (!std::isfinite(step_loss))
-        throw std::runtime_error("training loss is " + std::to_string(step_loss) +
-                                 " at epoch " + std::to_string(epoch) + " step " +
-                                 std::to_string(batches));
+      if (!std::isfinite(step_loss)) {
+        const std::string error = "training loss is " + std::to_string(step_loss) +
+                                  " at epoch " + std::to_string(epoch) + " step " +
+                                  std::to_string(batches);
+        if (run_log != nullptr) {
+          JsonWriter w;
+          w.begin_object();
+          w.field("schema", "cgps-train-v1");
+          w.field("run_id", run_id);
+          w.field("model", "circuitgps");
+          w.field("task", link_task ? "link" : "regression");
+          w.field("epoch", epoch);
+          w.field("epochs_total", options.epochs);
+          w.field("step", batches);
+          w.field("error", error);
+          w.end_object();
+          run_log->write_line(w.str());
+        }
+        throw std::runtime_error(error);
+      }
       {
         ScopedTimer st(t_bwd);
         const TraceSpan span("train.backward");

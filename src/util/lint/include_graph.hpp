@@ -1,4 +1,4 @@
-// cgps_deps: whole-program include-graph analysis (DESIGN.md §9). Where
+// Whole-program include-graph analysis (DESIGN.md §9). Where
 // lint.cpp checks per-line invariants, this subsystem parses every
 // `#include` in the tree (through the same offset-preserving stripped
 // lexer), resolves project headers to modules, and checks structural
@@ -32,8 +32,7 @@
 //
 // Both manifest rules are skipped when their manifest file is absent, so
 // fixture trees stay clean by default. The analysis runs inside run_lint
-// (one shared tree scan) and standalone through the cgps_deps CLI
-// (`--check` for CI, `--dot` to render the module DAG for docs).
+// (one shared tree scan); `cgps_lint --dot` renders its module DAG for docs.
 #pragma once
 
 #include "util/lint/lint.hpp"
@@ -53,29 +52,20 @@ struct ModuleEdge {
   int example_line = 0;
 };
 
-struct DepsOptions {
-  std::string root;
-  // Manifest paths; empty = `<root>/tools/cgps_layering.txt` and
-  // `<root>/tools/cgps_atomics.txt`. A missing file disables its rule.
-  std::string layering_path;
-  std::string atomics_path;
-};
-
 struct DepsReport {
   std::vector<Finding> findings;
   std::vector<ModuleEdge> edges;  // actual src-module graph, sorted
-  int files_scanned = 0;
-  double wall_ms = 0.0;
   std::string error;  // non-empty when the scan itself failed (exit 2)
 };
 
 // Run the include-graph rules over an already-scanned tree (run_lint path:
-// one scan feeds both rule families).
-DepsReport analyze_includes(const std::vector<FileUnit>& units,
-                            const DepsOptions& options);
+// one scan feeds both rule families). The manifests are read from
+// `<root>/tools/cgps_layering.txt` and `<root>/tools/cgps_atomics.txt`; a
+// missing file disables its rule.
+DepsReport analyze_includes(const std::vector<FileUnit>& units, const std::string& root);
 
-// Scan `options.root` and analyze (cgps_deps CLI path).
-DepsReport run_deps(const DepsOptions& options);
+// Scan `root` and analyze (the `cgps_lint --dot` path).
+DepsReport run_deps(const std::string& root);
 
 // Graphviz rendering of the module DAG, deterministic node/edge order.
 std::string render_dot(const std::vector<ModuleEdge>& edges);
@@ -84,12 +74,5 @@ std::string render_dot(const std::vector<ModuleEdge>& edges);
 // scope functions/variables/aliases, macro names), as used by the
 // unused-include rule. Exposed for tests.
 std::vector<std::string> exported_symbols(const FileUnit& header);
-
-// CLI driver for tools/cgps_deps:
-//   cgps_deps <repo-root> [--check] [--dot] [--layering FILE] [--atomics FILE]
-// `--check` (the default) appends findings and a summary to *out and
-// returns 0 clean / 1 violations / 2 bad usage or unreadable inputs;
-// `--dot` appends the DOT graph instead and returns 0/2.
-int deps_main(int argc, const char* const* argv, std::string& out);
 
 }  // namespace cgps::lint

@@ -384,9 +384,9 @@ LintReport run_lint(const LintOptions& options) {
 
   // The include-graph rule family (layering, cycles, include order, unused
   // includes, atomics discipline — see include_graph.hpp) runs over the
-  // same scan, so cgps_lint and cgps_deps can never disagree.
+  // same scan.
   {
-    DepsReport deps = analyze_includes(units, DepsOptions{options.root, "", ""});
+    DepsReport deps = analyze_includes(units, options.root);
     if (!deps.error.empty()) {
       report.error = deps.error;
       return report;
@@ -556,9 +556,10 @@ int lint_main(int argc, const char* const* argv, std::string& out) {
   std::string allowlist;
   std::string bench_report_path;
   bool json = false;
+  bool dot = false;
   const auto usage = [&out] {
     out += "usage: cgps_lint <repo-root> [--allowlist FILE] [--json] "
-           "[--bench-report FILE]\n";
+           "[--bench-report FILE] [--dot]\n";
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
@@ -569,6 +570,8 @@ int lint_main(int argc, const char* const* argv, std::string& out) {
       bench_report_path = argv[++i];
     } else if (arg == "--json") {
       json = true;
+    } else if (arg == "--dot") {
+      dot = true;
     } else if (!arg.empty() && arg[0] != '-' && root.empty()) {
       root = arg;
     } else {
@@ -576,6 +579,16 @@ int lint_main(int argc, const char* const* argv, std::string& out) {
     }
   }
   if (root.empty()) return usage();
+
+  if (dot) {
+    const DepsReport deps = run_deps(root);
+    if (!deps.error.empty()) {
+      out += "cgps_lint: " + deps.error + "\n";
+      return 2;
+    }
+    out += render_dot(deps.edges);
+    return 0;
+  }
 
   const LintReport report = run_lint({root, allowlist});
   if (!report.error.empty()) {

@@ -29,7 +29,7 @@
 // The include-graph rule family (layering-violation, include-cycle,
 // include-order, unused-include, the atomics/volatile discipline, and
 // module-map-drift — see util/lint/include_graph.hpp) runs as part of
-// run_lint over the same tree scan, and standalone through cgps_deps.
+// run_lint over the same tree scan.
 //
 // When docs/OPERATIONS.md exists, the env-var cross-check additionally
 // requires its environment-variable table to stay in lockstep with the
@@ -96,13 +96,15 @@ bool is_dotted_metric_key(std::string_view name);
 std::vector<AllowlistEntry> parse_allowlist(std::string_view text, std::string* error);
 
 // CLI driver for tools/cgps_lint:
-//   cgps_lint <repo-root> [--allowlist FILE] [--json] [--bench-report FILE]
+//   cgps_lint <repo-root> [--allowlist FILE] [--json] [--bench-report FILE] [--dot]
 // Appends human-readable output to *out (or, with --json, one
 // `cgps-lint-v1` JSONL record per finding plus a summary record).
 // `--bench-report` additionally writes a minimal cgps-bench-v1 document
 // with the lint wall time, for the CI bench-trend gate. Returns 0 when the
 // tree is clean (allowlisted findings included), 1 on violations, 2 on bad
-// usage or an unreadable root/allowlist.
+// usage or an unreadable root/allowlist. `--dot` instead appends the
+// Graphviz module DAG of the include graph (no rules run) and returns 0,
+// or 2 on bad usage or an unreadable root.
 int lint_main(int argc, const char* const* argv, std::string& out);
 
 }  // namespace cgps::lint

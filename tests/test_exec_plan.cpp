@@ -1,5 +1,5 @@
 // Unit tests for the plan compiler and arena allocator (DESIGN.md §10):
-// fusion legality, schedule/liveness invariants, and slab packing.
+// schedule/liveness invariants and slab packing.
 #include "exec/arena.hpp"
 #include "exec/executor.hpp"
 #include "exec/gps_program.hpp"
@@ -35,9 +35,10 @@ exec::Plan compiled_plan(const GpsConfig& config, bool training, exec::LossKind 
   return exec::compile(exec::build_program(model, training, loss));
 }
 
-int count_steps(const std::vector<exec::Step>& steps, exec::Op op) {
-  return static_cast<int>(
-      std::count_if(steps.begin(), steps.end(), [&](const exec::Step& s) { return s.op == op; }));
+int count_steps(const exec::Plan& plan, const std::vector<int>& steps, exec::Op op) {
+  return static_cast<int>(std::count_if(steps.begin(), steps.end(), [&](int id) {
+    return plan.prog.nodes[static_cast<std::size_t>(id)].op == op;
+  }));
 }
 
 // ---------------------------------------------------------------------------
@@ -81,49 +82,21 @@ TEST(ExecArena, SlabIsMonotoneAcrossBinds) {
 }
 
 // ---------------------------------------------------------------------------
-// Fusion
-
-TEST(ExecPlan, FusesLinearBiasReluAndGateChain) {
-  const exec::Plan plan = compiled_plan(small_config(), /*training=*/true, exec::LossKind::kBce);
-  // fuse_mlp and head_mlp hidden layers end in ReLU -> kLinearRelu fires.
-  EXPECT_GT(count_steps(plan.fwd, exec::Op::kLinearRelu), 0);
-  // Plain Linear+bias (e.g. attention out-projection) -> kLinear.
-  EXPECT_GT(count_steps(plan.fwd, exec::Op::kLinear), 0);
-  // GatedGCN's sigmoid(e_hat) * msg chain -> kGateChain, forward only.
-  EXPECT_GT(count_steps(plan.fwd, exec::Op::kGateChain), 0);
-  EXPECT_EQ(count_steps(plan.bwd, exec::Op::kGateChain), 0);
-  // Fused constituents are gone from the forward schedule.
-  for (const exec::Step& s : plan.fwd) {
-    if (s.op == exec::Op::kAddRowvec) {
-      const exec::NodeDef& mm = plan.prog.nodes[static_cast<std::size_t>(
-          plan.prog.nodes[static_cast<std::size_t>(s.n0)].inputs[0])];
-      EXPECT_NE(mm.op, exec::Op::kMatmul)
-          << "unfused add_rowvec over a matmul should have become kLinear";
-    }
-  }
-}
-
-TEST(ExecPlan, NoGateChainWithoutGatedGcn) {
-  GpsConfig config = small_config();
-  config.mpnn = MpnnKind::kNone;
-  const exec::Plan plan = compiled_plan(config, /*training=*/true, exec::LossKind::kMse);
-  EXPECT_EQ(count_steps(plan.fwd, exec::Op::kGateChain), 0);
-}
-
-TEST(ExecPlan, ElidedValuesAreNeverScheduledOrRead) {
-  const exec::Plan plan = compiled_plan(small_config(), /*training=*/true, exec::LossKind::kBce);
-  for (std::size_t id = 0; id < plan.prog.nodes.size(); ++id) {
-    if (!plan.value_elided[id]) continue;
-    for (const exec::Step& s : plan.fwd)
-      EXPECT_NE(s.n0, static_cast<int>(id)) << "elided node scheduled";
-    // Elided intermediates must not be live anywhere: either never allocated
-    // (def == -1) or a dead point allocation (last < def).
-    EXPECT_TRUE(plan.val[id].def == -1 || plan.val[id].last < plan.val[id].def);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Schedules and liveness
+
+TEST(ExecPlan, OneForwardStepPerNonSourceNodeInRecordingOrder) {
+  const exec::Plan plan = compiled_plan(small_config(), /*training=*/true, exec::LossKind::kBce);
+  std::vector<int> want;
+  for (std::size_t id = 0; id < plan.prog.nodes.size(); ++id) {
+    const exec::Op op = plan.prog.nodes[id].op;
+    if (op != exec::Op::kParam && op != exec::Op::kInput) want.push_back(static_cast<int>(id));
+  }
+  EXPECT_EQ(plan.fwd, want);
+  // Each backward step is a distinct node that also has a forward step.
+  const std::set<int> bwd(plan.bwd.begin(), plan.bwd.end());
+  EXPECT_EQ(bwd.size(), plan.bwd.size());
+  for (int id : plan.bwd) EXPECT_GE(plan.node_def_step[static_cast<std::size_t>(id)], 0);
+}
 
 TEST(ExecPlan, InferenceProgramHasNoBackward) {
   const exec::Plan plan = compiled_plan(small_config(), /*training=*/false, exec::LossKind::kNone);
@@ -143,31 +116,12 @@ TEST(ExecPlan, EveryForwardStepReadsAlreadyDefinedValues) {
   }
   auto check_inputs = [&](int node) {
     for (int in : plan.prog.nodes[static_cast<std::size_t>(node)].inputs)
-      EXPECT_TRUE(defined[static_cast<std::size_t>(in)] ||
-                  plan.value_elided[static_cast<std::size_t>(in)])
+      EXPECT_TRUE(defined[static_cast<std::size_t>(in)])
           << "node " << node << " reads undefined input " << in;
   };
-  for (const exec::Step& s : plan.fwd) {
-    switch (s.op) {
-      case exec::Op::kLinearRelu:
-        check_inputs(s.n2);
-        defined[static_cast<std::size_t>(s.n2)] = 1;
-        defined[static_cast<std::size_t>(s.n1)] = 1;
-        defined[static_cast<std::size_t>(s.n0)] = 1;
-        break;
-      case exec::Op::kLinear:
-        check_inputs(s.n1);
-        defined[static_cast<std::size_t>(s.n1)] = 1;
-        defined[static_cast<std::size_t>(s.n0)] = 1;
-        break;
-      case exec::Op::kGateChain:
-        defined[static_cast<std::size_t>(s.n1)] = 1;
-        defined[static_cast<std::size_t>(s.n0)] = 1;
-        break;
-      default:
-        check_inputs(s.n0);
-        defined[static_cast<std::size_t>(s.n0)] = 1;
-    }
+  for (int id : plan.fwd) {
+    check_inputs(id);
+    defined[static_cast<std::size_t>(id)] = 1;
   }
 }
 
@@ -236,7 +190,7 @@ TEST(ExecPlan, GineIsSupported) {
   // The recorded GINE program carries the colvec broadcast of (1 + eps) and
   // compiles a backward schedule without throwing.
   const exec::Plan plan = compiled_plan(config, /*training=*/true, exec::LossKind::kBce);
-  EXPECT_GT(count_steps(plan.fwd, exec::Op::kMulColvec), 0);
+  EXPECT_GT(count_steps(plan, plan.fwd, exec::Op::kMulColvec), 0);
   EXPECT_GT(plan.bwd.size(), 0u);
 }
 

@@ -319,7 +319,7 @@ TEST_F(LintFixture, CliExitContract) {
   EXPECT_EQ(lint_main(4, bad_allow, out), 2);
 }
 
-// --- include-graph rule family (cgps_deps; see include_graph.hpp) --------
+// --- include-graph rule family (see include_graph.hpp) -------------------
 
 TEST_F(LintFixture, IncludeCycleDetected) {
   write("README.md", "");
@@ -526,37 +526,35 @@ TEST_F(LintFixture, ModuleMapDriftBothDirections) {
   }
 }
 
-TEST_F(LintFixture, DepsCliContract) {
+TEST_F(LintFixture, DotRendersModuleGraphAndKeepsExitContract) {
   write("README.md", "");
   write("src/p/x.cpp", "#include \"q/y.hpp\"\nint x() { return y(); }\n");
   write("src/q/y.hpp", "#pragma once\ninline int y() { return 1; }\n");
   const std::string root = root_.string();
 
-  // Clean tree (no manifests): exit 0 with a summary line.
-  std::string out;
-  const char* check_argv[] = {"cgps_deps", root.c_str(), "--check"};
-  EXPECT_EQ(deps_main(3, check_argv, out), 0);
-  EXPECT_NE(out.find("0 violation(s)"), std::string::npos);
-
   // --dot renders the live module graph.
-  out.clear();
-  const char* dot_argv[] = {"cgps_deps", root.c_str(), "--dot"};
-  EXPECT_EQ(deps_main(3, dot_argv, out), 0);
+  std::string out;
+  const char* dot_argv[] = {"cgps_lint", root.c_str(), "--dot"};
+  EXPECT_EQ(lint_main(3, dot_argv, out), 0);
   EXPECT_NE(out.find("digraph cgps_modules"), std::string::npos);
   EXPECT_NE(out.find("\"p\" -> \"q\";"), std::string::npos);
 
-  // A violation flips the exit code to 1.
+  // The include-graph rules run in the plain lint pass: a layering
+  // violation flips the exit code to 1, while --dot still renders (exit 0).
   write("tools/cgps_layering.txt", "p -> elsewhere\n");
   out.clear();
-  EXPECT_EQ(deps_main(3, check_argv, out), 1);
+  const char* check_argv[] = {"cgps_lint", root.c_str()};
+  EXPECT_EQ(lint_main(2, check_argv, out), 1);
   EXPECT_NE(out.find("layering-violation"), std::string::npos);
+  out.clear();
+  EXPECT_EQ(lint_main(3, dot_argv, out), 0);
 
   // Bad usage / bad root: exit 2.
   out.clear();
-  const char* no_root[] = {"cgps_deps"};
-  EXPECT_EQ(deps_main(1, no_root, out), 2);
-  const char* bad_root[] = {"cgps_deps", "/nonexistent/cgps", "--check"};
-  EXPECT_EQ(deps_main(3, bad_root, out), 2);
+  const char* no_root[] = {"cgps_lint", "--dot"};
+  EXPECT_EQ(lint_main(2, no_root, out), 2);
+  const char* bad_root[] = {"cgps_lint", "/nonexistent/cgps", "--dot"};
+  EXPECT_EQ(lint_main(3, bad_root, out), 2);
 }
 
 TEST_F(LintFixture, JsonOutputIsValidRecords) {

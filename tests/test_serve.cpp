@@ -8,6 +8,7 @@
 #include "util/json_writer.hpp"
 #include "util/metrics.hpp"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <chrono>
 #include <cmath>
@@ -18,7 +19,9 @@
 #include <gtest/gtest.h>
 #include <limits>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <thread>
 #include <unistd.h>
 
@@ -437,6 +440,88 @@ TEST(ServeServer, CorruptStatsFramesGetErrorAndClose) {
     ASSERT_TRUE(serve::write_all_bytes(fd, evil, sizeof(evil)));
     expect_error_then_eof(fd);
   }
+
+  server.stop();
+  core.stop();
+}
+
+// One kInfo round trip on a fresh connection. False when no socket can be
+// opened or no reply arrives within two seconds: a daemon that stopped
+// accepting still completes the handshake from its listen backlog, so the
+// read timeout is what turns a hang into a failure.
+bool info_round_trip(int port) {
+  // The descriptor table is shared with the server under test; give its
+  // readers a moment to release the fds of connections that just closed.
+  int fd = -1;
+  for (int attempt = 0; attempt < 200 && fd < 0; ++attempt) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (fd < 0) return false;
+  timeval timeout{};
+  timeout.tv_sec = 2;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  bool answered = false;
+  Request info;
+  info.id = 9;
+  info.task = TaskKind::kInfo;
+  std::vector<std::uint8_t> framed;
+  serve::append_frame(framed, serve::encode_request(info));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      serve::write_all_bytes(fd, framed.data(), framed.size())) {
+    std::vector<std::uint8_t> buf;
+    std::vector<std::uint8_t> payload;
+    std::size_t pos = 0;
+    std::uint8_t chunk[4096];
+    for (;;) {
+      const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+      if (got <= 0) break;  // timeout, reset or EOF
+      buf.insert(buf.end(), chunk, chunk + got);
+      if (serve::scan_frame(buf, pos, payload) == serve::FrameScan::kFrame) {
+        const auto response = serve::decode_response(payload);
+        answered = response.has_value() && response->status == Status::kOk;
+        break;
+      }
+    }
+  }
+  ::close(fd);
+  return answered;
+}
+
+// Connection churn under a lowered descriptor limit: each closed connection
+// must give its fd back, and running out of fds must stall accept(), not end
+// it. Regression: closed connections kept their fds until stop(), and the
+// first EMFILE ended the accept loop, leaving a live but deaf daemon.
+TEST(ServeServer, ConnectionChurnPastFdLimitKeepsAnswering) {
+  ServeFixture& f = fixture();
+  serve::ServeCore core(*f.model, f.normalizer, {f.design}, f.options());
+  core.start();
+  serve::ServeServer server(core, /*port=*/0);
+  ASSERT_TRUE(server.start());
+
+  // Room for 32 descriptors beyond those already open, then churn through
+  // four times the whole limit.
+  rlim_t open_fds = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++open_fds;
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, open_fds + 32);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  const int churn = 4 * static_cast<int>(low.rlim_cur);
+  int answered = 0;
+  while (answered < churn && info_round_trip(server.port())) ++answered;
+  EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(answered, churn) << "daemon stopped answering under a " << low.rlim_cur
+                             << "-descriptor limit";
+  EXPECT_TRUE(info_round_trip(server.port())) << "daemon is deaf after churn";
 
   server.stop();
   core.stop();

@@ -1,11 +1,16 @@
 #include "train/trainer.hpp"
+#include "util/json_writer.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <gtest/gtest.h>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace cgps {
 namespace {
@@ -164,13 +169,35 @@ TEST(Training, NonFiniteLossFailsFastNamingEpochAndStep) {
   TrainOptions options;
   options.epochs = 2;
   options.batch_size = 16;
+  const std::string log_path = ::testing::TempDir() + "cgps_nonfinite_run_log.jsonl";
+  std::remove(log_path.c_str());
+  ::setenv("CIRCUITGPS_RUN_LOG", log_path.c_str(), 1);
   try {
     train_regression(model, norm, tasks, options);
-    FAIL() << "a NaN loss must stop training";
+    ADD_FAILURE() << "a NaN loss must stop training";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("epoch 0 step 0"), std::string::npos) << what;
   }
+  ::unsetenv("CIRCUITGPS_RUN_LOG");
+  // The run log records the failure: one cgps-train-v1 record whose error
+  // names the epoch and step.
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(log_path);
+    for (std::string line; std::getline(in, line);)
+      if (!line.empty()) lines.push_back(line);
+  }
+  std::remove(log_path.c_str());
+  ASSERT_EQ(lines.size(), 1u);
+  std::string parse_error;
+  const auto record = json_parse(lines[0], &parse_error);
+  ASSERT_TRUE(record.has_value()) << parse_error;
+  ASSERT_NE(record->find("schema"), nullptr);
+  EXPECT_EQ(record->find("schema")->string, "cgps-train-v1");
+  ASSERT_NE(record->find("error"), nullptr);
+  EXPECT_NE(record->find("error")->string.find("epoch 0 step 0"), std::string::npos)
+      << record->find("error")->string;
   // The failing step never reached the optimizer.
   std::size_t k = 0;
   for (const auto& [name, p] : model.named_parameters()) {
